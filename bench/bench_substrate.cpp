@@ -7,13 +7,14 @@
 // actually needs; they complement the round-accounting experiments E1-E8.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/seed_fixing.hpp"
 #include "graph/generators.hpp"
 #include "mpc/dist_graph.hpp"
 #include "mpc/primitives.hpp"
-#include "util/cond_expect.hpp"
 #include "util/hash_family.hpp"
 
 namespace rsets {
@@ -58,35 +59,27 @@ void BM_HashFamily_MarkEval(benchmark::State& state) {
   benchmark::DoNotOptimize(marks);
 }
 
-// Full seed fix over a target-count estimator of the given size.
-class TargetCountEstimator : public SeedEstimator {
- public:
-  TargetCountEstimator(const MarkingFamily& family, std::size_t targets)
-      : family_(family) {
-    for (std::size_t i = 0; i < targets; ++i) {
-      ids_.push_back((i * 2654435761u) & 0xFFFF);
-    }
-  }
-  double value() const override {
-    double total = 0.0;
-    for (std::uint64_t v : ids_) {
-      total += family_.prob_mark(v, family_.levels());
-    }
-    return total;
-  }
-
- private:
-  const MarkingFamily& family_;
-  std::vector<std::uint64_t> ids_;
-};
-
+// Full seed fix through the engine on a 1-machine simulator, over a
+// target-count estimator of the given size.
 void BM_FixSeed(benchmark::State& state) {
   const auto targets = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < targets; ++i) {
+    ids.push_back((i * 2654435761u) & 0xFFFF);
+  }
+  auto count_marked = [&](mpc::MachineId, const MarkingFamily& family, int,
+                          std::span<double> out) {
+    double total = 0.0;
+    for (std::uint64_t v : ids) total += family.prob_mark(v, family.levels());
+    out[0] = total;
+  };
+  mpc::MpcConfig cfg;
+  cfg.num_machines = 1;
+  mpc::Simulator sim(cfg);
   for (auto _ : state) {
     MarkingFamily family(1 << 16, 4);
-    TargetCountEstimator est(family, targets);
-    const auto report = fix_seed(family, est, {.chunk_bits = 4});
-    benchmark::DoNotOptimize(report.final_value);
+    const auto report = fix_seed_mpc(sim, family, 4, 1, count_marked);
+    benchmark::DoNotOptimize(report.trajectory.back());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(targets));

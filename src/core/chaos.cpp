@@ -322,24 +322,6 @@ std::vector<serve::UpdateBatch> expected_generations(
   return gens;
 }
 
-bool mpc_metrics_equal(const mpc::MpcMetrics& a, const mpc::MpcMetrics& b) {
-  return a.rounds == b.rounds && a.messages == b.messages &&
-         a.total_words == b.total_words &&
-         a.max_send_words == b.max_send_words &&
-         a.max_recv_words == b.max_recv_words &&
-         a.max_storage_words == b.max_storage_words &&
-         a.violations == b.violations && a.random_words == b.random_words &&
-         a.faults_injected == b.faults_injected &&
-         a.checkpoints == b.checkpoints &&
-         a.recovery_rounds == b.recovery_rounds &&
-         a.degraded_subrounds == b.degraded_subrounds &&
-         a.deadline_misses == b.deadline_misses &&
-         a.speculative_rounds == b.speculative_rounds &&
-         a.corrupt_detected == b.corrupt_detected &&
-         a.integrity_retries == b.integrity_retries &&
-         a.quarantined_rounds == b.quarantined_rounds;
-}
-
 // Twin-comparable slice of the service ledger: everything except the
 // durability counters (journal_writes / recoveries / tombstones), which
 // legitimately differ between a crashed-and-recovered service and its
@@ -610,8 +592,7 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                   };
               const RulingSetResult rerun =
                   compute_ruling_set(service.snapshot(), oracle_options);
-              if (!mpc_metrics_equal(service.last_repair_result().metrics,
-                                     rerun.metrics)) {
+              if (service.last_repair_result().metrics != rerun.metrics) {
                 fail("repair cost ledger diverged from the from-scratch rerun "
                      "at generation " +
                      std::to_string(index));

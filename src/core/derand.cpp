@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "mpc/primitives.hpp"
+#include "core/seed_fixing.hpp"
 #include "util/logging.hpp"
 
 namespace rsets {
@@ -20,19 +20,17 @@ struct Shard {
   std::vector<Edge> edges;
 };
 
-// Factors applied to not-yet-reached levels (> current): each contributes
-// 1/2 to a marginal and 1/4 to a pairwise joint.
-struct FutureFactors {
-  double single;
-  double pair;
-};
-
-// Partial estimator sums over one shard under the given tentative state of
-// the current level. Levels below `level` are already folded in (survivor
-// lists), levels above contribute the future factors.
+// Partial estimator sums over one shard with level `current` of `family`
+// in its (tentative) state. Levels below are already folded in (survivor
+// lists); each level above contributes 1/2 to a marginal and 1/4 to a
+// pairwise joint.
 std::pair<double, double> shard_partial(const Shard& shard,
-                                        const PairwiseBitLevel& level,
-                                        const FutureFactors& f) {
+                                        const MarkingFamily& family,
+                                        int current) {
+  const PairwiseBitLevel& level = family.level(current);
+  const int remaining = family.levels() - 1 - current;
+  const double single_factor = std::exp2(-remaining);
+  const double pair_factor = std::exp2(-2 * remaining);
   double cover = 0.0;
   for (const auto& t_list : shard.target_lists) {
     double singles = 0.0;
@@ -43,11 +41,11 @@ std::pair<double, double> shard_partial(const Shard& shard,
         pairs += level.prob_both_one(t_list[i], t_list[j]);
       }
     }
-    cover += singles * f.single - pairs * f.pair;
+    cover += singles * single_factor - pairs * pair_factor;
   }
   double edge_mass = 0.0;
   for (const Edge& e : shard.edges) {
-    edge_mass += level.prob_both_one(e.u, e.v) * f.pair;
+    edge_mass += level.prob_both_one(e.u, e.v) * pair_factor;
   }
   return {cover, edge_mass};
 }
@@ -61,14 +59,6 @@ void filter_survivors(Shard& shard, const PairwiseBitLevel& level) {
   });
 }
 
-std::vector<int> unfixed_bits(const PairwiseBitLevel& level) {
-  std::vector<int> out;
-  for (int i = 0; i <= level.bits(); ++i) {
-    if (!level.bit_fixed(i)) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace
 
 DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
@@ -78,9 +68,7 @@ DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
   if (options.levels < 1) {
     throw std::invalid_argument("derand_mark: levels must be >= 1");
   }
-  if (options.chunk_bits < 1 || options.chunk_bits > 12) {
-    throw std::invalid_argument("derand_mark: chunk_bits must be in [1, 12]");
-  }
+  check_chunk_bits(options.chunk_bits, "derand_mark");
   if (options.edge_budget == 0) {
     throw std::invalid_argument("derand_mark: edge_budget must be positive");
   }
@@ -123,80 +111,36 @@ DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
 
   const std::uint64_t rounds_before = sim.metrics().rounds;
 
-  auto evaluate_phi = [&](int level_idx, const PairwiseBitLevel& level)
-      -> std::pair<double, double> {
-    const int remaining = k - 1 - level_idx;
-    const FutureFactors f{std::exp2(-remaining), std::exp2(-2 * remaining)};
+  {
     double cover = 0.0;
     double edge_mass = 0.0;
     for (MachineId m = 0; m < m_count; ++m) {
-      const auto [c, x] = shard_partial(shards[m], level, f);
+      const auto [c, x] = shard_partial(shards[m], family, 0);
       cover += c;
       edge_mass += x;
     }
-    return {cover, edge_mass};
-  };
-
-  {
-    const auto [cover, edge_mass] = evaluate_phi(0, family.level(0));
     result.initial_estimate = cover - lambda * edge_mass / budget;
   }
 
   // --- chunked conditional expectations ------------------------------------
-  for (int j = 0; j < k; ++j) {
-    PairwiseBitLevel& level = family.level(j);
-    while (!level.fully_fixed()) {
-      std::vector<int> todo = unfixed_bits(level);
-      const int take =
-          std::min<int>(options.chunk_bits, static_cast<int>(todo.size()));
-      todo.resize(static_cast<std::size_t>(take));
-      const std::uint32_t assignments = 1u << take;
-
-      // Each machine evaluates its shard for every assignment inside the
-      // gather round's callback (parallel across machines when the simulator
-      // runs threaded); the partials are summed with one width-2*2^c
-      // allreduce (2 real MPC rounds). Each callback works on a private
-      // tentative copy of the level, so `level` itself is only read.
-      const int remaining = k - 1 - j;
-      const FutureFactors f{std::exp2(-remaining),
-                            std::exp2(-2 * remaining)};
-      const std::vector<double> totals = mpc::allreduce_sum_compute(
-          sim, 2 * static_cast<std::size_t>(assignments),
-          [&](MachineId m) {
-            std::vector<double> partials(2 * assignments, 0.0);
-            for (std::uint32_t a = 0; a < assignments; ++a) {
-              PairwiseBitLevel tentative = level;
-              for (int b = 0; b < take; ++b) {
-                tentative.fix_bit(todo[static_cast<std::size_t>(b)],
-                                  (a >> b) & 1u);
-              }
-              const auto [c, x] = shard_partial(shards[m], tentative, f);
-              partials[2 * a] = c;
-              partials[2 * a + 1] = x;
-            }
-            return partials;
-          });
-
-      double best_phi = 0.0;
-      std::uint32_t best_a = 0;
-      bool have_best = false;
-      for (std::uint32_t a = 0; a < assignments; ++a) {
-        const double phi =
-            totals[2 * a] - lambda * totals[2 * a + 1] / budget;
-        if (!have_best || phi > best_phi) {
-          have_best = true;
-          best_phi = phi;
-          best_a = a;
+  // Two values per assignment (cover, edge mass), evaluated per shard inside
+  // the engine's allreduce. Once a level is final every machine filters its
+  // shard locally (free).
+  const SeedFixReport report = fix_seed_mpc(
+      sim, family, options.chunk_bits, /*values_per_assignment=*/2,
+      [&](MachineId m, const MarkingFamily& tentative, int level,
+          std::span<double> out) {
+        const auto [c, x] = shard_partial(shards[m], tentative, level);
+        out[0] = c;
+        out[1] = x;
+      },
+      [&](std::span<const double> t) { return t[0] - lambda * t[1] / budget; },
+      [&](int level) {
+        for (Shard& shard : shards) {
+          filter_survivors(shard, family.level(level));
         }
-      }
-      for (int b = 0; b < take; ++b) {
-        level.fix_bit(todo[static_cast<std::size_t>(b)], (best_a >> b) & 1u);
-      }
-      ++result.chunks;
-    }
-    // Level finalized: every machine filters its shard locally (free).
-    for (Shard& shard : shards) filter_survivors(shard, level);
-  }
+      });
+  result.chunks = report.chunks;
 
   // --- realized outcome (all quantities now deterministic) -----------------
   {

@@ -21,13 +21,13 @@
 // p*|T_v| <= 1, keeping the Bonferroni bound Z_v <= 1[some T_v member
 // marked] tight), p = 2^-k is the marking probability, and lambda = 8|T|.
 // With p*|T_v| in (1/2, 1] and E[X] <= budget/32 these give E[Phi] >= |T|/8,
-// and the conditional-expectations engine turns that expectation into a
-// certainty. See DESIGN.md §3.1 for the derivation.
+// and the seed-fixing engine (core/seed_fixing.hpp) turns that expectation
+// into a certainty. See DESIGN.md §3.1 for the derivation.
 //
 // Distribution: every machine holds estimator shards for the targets and
-// candidate edges it owns; one chunk of seed bits costs one width-2^c
+// candidate edges it owns; one chunk of seed bits costs one width-2*2^c
 // allreduce (2 MPC rounds) in which all 2^c candidate assignments are
-// evaluated at once. The chosen seed is known everywhere, so marks are
+// evaluated at once (cover and edge mass per assignment). The chosen seed is known everywhere, so marks are
 // locally evaluable with zero further communication — the property the
 // whole deterministic algorithm leans on.
 #pragma once
@@ -37,7 +37,6 @@
 
 #include "graph/graph.hpp"
 #include "mpc/dist_graph.hpp"
-#include "util/cond_expect.hpp"
 #include "util/hash_family.hpp"
 
 namespace rsets {

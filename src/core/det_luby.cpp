@@ -1,13 +1,10 @@
 #include "core/det_luby.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
+#include "core/seed_fixing.hpp"
 #include "mpc/dist_graph.hpp"
-#include "mpc/primitives.hpp"
 #include "util/bits.hpp"
-#include "util/cond_expect.hpp"
 #include "util/hash_family.hpp"
 #include "util/logging.hpp"
 
@@ -34,9 +31,7 @@ RulingSetResult det_luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg,
 
 RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
                                  const DetLubyOptions& options) {
-  if (options.chunk_bits < 1 || options.chunk_bits > 12) {
-    throw std::invalid_argument("det_luby: chunk_bits must be in [1, 12]");
-  }
+  check_chunk_bits(options.chunk_bits, "det_luby");
   const VertexId n = dg.num_vertices();
   const MachineId m_count = sim.num_machines();
 
@@ -109,91 +104,30 @@ RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
       MarkingFamily family(std::max<VertexId>(n, 2), std::max(k_max, 1));
 
       // Estimator terms, sharded by owner: singleton (v, w_v, k_v) and pair
-      // (v, u, w_v, k_v, k_u) for u in N(v) with u beating v.
-      struct Singleton {
-        VertexId v;
-        double w;
-        int depth;
-      };
-      struct PairTerm {
-        VertexId v;
-        VertexId u;
-        double w;
-        int dv;
-        int du;
-      };
-      std::vector<std::vector<Singleton>> singles(m_count);
-      std::vector<std::vector<PairTerm>> pairs(m_count);
+      // (u, v, w_v, k_u, k_v) for u in N(v) with u beating v.
+      std::vector<PriorityShard> shards(m_count);
       for (MachineId m = 0; m < m_count; ++m) {
         for (VertexId v : dg.owned(m)) {
           if (!dg.active(v) || adeg[v] == 0) continue;
           const double w = static_cast<double>(adeg[v]) + 1.0;
-          singles[m].push_back({v, w, depth_of(v)});
+          shards[m].singles.push_back({v, w, depth_of(v)});
           for (VertexId u : dg.neighbors(v)) {
             if (dg.active(u) && beats(adeg[u], u, adeg[v], v)) {
-              pairs[m].push_back({v, u, w, depth_of(v), depth_of(u)});
+              shards[m].pairs.push_back({u, v, w, depth_of(u), depth_of(v)});
             }
           }
         }
       }
 
-      // Chunked conditional expectations: identical structure to
-      // derand_mark but with depth-aware terms.
-      const int total_bits = family.total_seed_bits();
-      int global_bit = 0;
-      while (global_bit < total_bits) {
-        const auto [lvl, idx0] = family.locate(global_bit);
-        (void)idx0;
-        // Bits of the current level not yet fixed, chunked.
-        std::vector<int> todo;
-        for (int b = global_bit;
-             b < total_bits && family.locate(b).first == lvl &&
-             static_cast<int>(todo.size()) < options.chunk_bits;
-             ++b) {
-          todo.push_back(b);
-        }
-        const std::uint32_t assignments = 1u << todo.size();
-        // Each machine evaluates its shard for every tentative chunk fixing
-        // inside the gather round's callback (parallel across machines when
-        // the simulator runs threaded). Callbacks work on private copies of
-        // the family; the shared `family` is only read.
-        const auto totals = mpc::allreduce_sum_compute(
-            sim, assignments, [&](MachineId m) {
-              MarkingFamily local = family;
-              const PairwiseBitLevel saved = local.level(lvl);
-              std::vector<double> partials(assignments, 0.0);
-              for (std::uint32_t a = 0; a < assignments; ++a) {
-                for (std::size_t b = 0; b < todo.size(); ++b) {
-                  local.fix_global_bit(todo[b], (a >> b) & 1u);
-                }
-                double psi = 0.0;
-                for (const Singleton& s : singles[m]) {
-                  psi += s.w * local.prob_mark(s.v, s.depth);
-                }
-                for (const PairTerm& t : pairs[m]) {
-                  psi -= t.w * local.prob_mark_both(t.u, t.du, t.v, t.dv);
-                }
-                partials[a] = psi;
-                local.level(lvl) = saved;
-              }
-              return partials;
-            });
-        std::uint32_t best_a = 0;
-        double best = 0.0;
-        bool have = false;
-        for (std::uint32_t a = 0; a < assignments; ++a) {
-          if (!have || totals[a] > best) {
-            have = true;
-            best = totals[a];
-            best_a = a;
-          }
-        }
-        for (std::size_t b = 0; b < todo.size(); ++b) {
-          family.fix_global_bit(todo[b], (best_a >> b) & 1u);
-        }
-        result.derand_chunks += 1;
-        global_bit += static_cast<int>(todo.size());
-      }
+      // Chunked conditional expectations; a machine's one value per
+      // assignment is its shard of Psi.
+      result.derand_chunks +=
+          fix_seed_mpc(sim, family, options.chunk_bits, 1,
+                       [&](MachineId m, const MarkingFamily& tentative, int,
+                           std::span<double> out) {
+                         out[0] = shards[m].psi(tentative);
+                       })
+              .chunks;
       ++result.mark_steps;
 
       // Joins: marked vertices with no marked beating neighbor. Marks and

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/seed_fixing.hpp"
 #include "mpc/dist_graph.hpp"
-#include "mpc/primitives.hpp"
 #include "util/bits.hpp"
-#include "util/cond_expect.hpp"
 #include "util/hash_family.hpp"
 #include "util/logging.hpp"
 
@@ -52,9 +51,7 @@ bool is_maximal_matching(const Graph& g, const std::vector<Edge>& matching) {
 
 DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
                                    const DetMatchingOptions& options) {
-  if (options.chunk_bits < 1 || options.chunk_bits > 12) {
-    throw std::invalid_argument("det_matching: chunk_bits must be in [1,12]");
-  }
+  check_chunk_bits(options.chunk_bits, "det_matching");
   mpc::Simulator sim(cfg);
   mpc::DistGraph dg(sim, g);
   const MachineId m_count = sim.num_machines();
@@ -138,84 +135,32 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
 
     // Estimator shards by owner: singleton per active edge; pair terms per
     // adjacent active edge pair (f beats e), assigned to e's owner.
-    struct PairTerm {
-      std::uint32_t e;
-      std::uint32_t f;
-      int de;
-      int df;
-    };
-    std::vector<std::vector<std::uint32_t>> singles(m_count);
-    std::vector<std::vector<PairTerm>> pairs(m_count);
+    std::vector<PriorityShard> shards(m_count);
     for (std::uint32_t e = 0; e < num_edges; ++e) {
       if (!edge_active[e]) continue;
-      const MachineId m = dg.owner(edges[e].u);
-      singles[m].push_back(e);
+      PriorityShard& shard = shards[dg.owner(edges[e].u)];
+      const double w = static_cast<double>(edge_deg[e]) + 1.0;
+      shard.singles.push_back({e, w, depth_of(e)});
       for (VertexId endpoint : {edges[e].u, edges[e].v}) {
         for (std::uint32_t f : incident[endpoint]) {
           if (f == e || !edge_active[f]) continue;
           if (beats(edge_deg[f], f, edge_deg[e], e)) {
-            pairs[m].push_back({e, f, depth_of(e), depth_of(f)});
+            shard.pairs.push_back({f, e, w, depth_of(f), depth_of(e)});
           }
         }
       }
     }
 
-    // Chunked conditional expectations (same allreduce structure as the
-    // ruling-set marking step).
-    const int total_bits = family.total_seed_bits();
-    int global_bit = 0;
-    while (global_bit < total_bits) {
-      const int lvl = family.locate(global_bit).first;
-      std::vector<int> todo;
-      for (int b = global_bit;
-           b < total_bits && family.locate(b).first == lvl &&
-           static_cast<int>(todo.size()) < options.chunk_bits;
-           ++b) {
-        todo.push_back(b);
-      }
-      const std::uint32_t assignments = 1u << todo.size();
-      // Shard evaluation runs inside the gather round's callback (parallel
-      // across machines when the simulator runs threaded); each callback
-      // fixes the chunk on a private copy of the family.
-      const auto totals = mpc::allreduce_sum_compute(
-          sim, assignments, [&](MachineId m) {
-            MarkingFamily local = family;
-            const PairwiseBitLevel saved = local.level(lvl);
-            std::vector<double> partials(assignments, 0.0);
-            for (std::uint32_t a = 0; a < assignments; ++a) {
-              for (std::size_t b = 0; b < todo.size(); ++b) {
-                local.fix_global_bit(todo[b], (a >> b) & 1u);
-              }
-              double psi = 0.0;
-              for (std::uint32_t e : singles[m]) {
-                const double w = static_cast<double>(edge_deg[e]) + 1.0;
-                psi += w * local.prob_mark(e, depth_of(e));
-              }
-              for (const PairTerm& t : pairs[m]) {
-                const double w = static_cast<double>(edge_deg[t.e]) + 1.0;
-                psi -= w * local.prob_mark_both(t.f, t.df, t.e, t.de);
-              }
-              partials[a] = psi;
-              local.level(lvl) = saved;
-            }
-            return partials;
-          });
-      std::uint32_t best_a = 0;
-      double best = 0.0;
-      bool have = false;
-      for (std::uint32_t a = 0; a < assignments; ++a) {
-        if (!have || totals[a] > best) {
-          have = true;
-          best = totals[a];
-          best_a = a;
-        }
-      }
-      for (std::size_t b = 0; b < todo.size(); ++b) {
-        family.fix_global_bit(todo[b], (best_a >> b) & 1u);
-      }
-      ++result.derand_chunks;
-      global_bit += static_cast<int>(todo.size());
-    }
+    // Chunked conditional expectations (same engine as the ruling-set
+    // marking step); a machine's one value per assignment is its shard of
+    // Psi.
+    result.derand_chunks +=
+        fix_seed_mpc(sim, family, options.chunk_bits, 1,
+                     [&](MachineId m, const MarkingFamily& tentative, int,
+                         std::span<double> out) {
+                       out[0] = shards[m].psi(tentative);
+                     })
+            .chunks;
 
     // Winners: marked edges with no marked beating adjacent edge; locally
     // evaluable from the shared seed + exchanged degrees.

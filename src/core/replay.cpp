@@ -66,6 +66,26 @@ double json_double(const std::string& line, const std::string& key) {
   }
 }
 
+// The 17 ledger fields as comma-separated JSON members, in struct order.
+void append_metrics_fields(std::ostream& out, const mpc::MpcMetrics& m) {
+  out << "\"rounds\":" << m.rounds << ",\"messages\":" << m.messages
+      << ",\"total_words\":" << m.total_words
+      << ",\"max_send_words\":" << m.max_send_words
+      << ",\"max_recv_words\":" << m.max_recv_words
+      << ",\"max_storage_words\":" << m.max_storage_words
+      << ",\"violations\":" << m.violations
+      << ",\"random_words\":" << m.random_words
+      << ",\"faults_injected\":" << m.faults_injected
+      << ",\"checkpoints\":" << m.checkpoints
+      << ",\"recovery_rounds\":" << m.recovery_rounds
+      << ",\"degraded_subrounds\":" << m.degraded_subrounds
+      << ",\"deadline_misses\":" << m.deadline_misses
+      << ",\"speculative_rounds\":" << m.speculative_rounds
+      << ",\"corrupt_detected\":" << m.corrupt_detected
+      << ",\"integrity_retries\":" << m.integrity_retries
+      << ",\"quarantined_rounds\":" << m.quarantined_rounds;
+}
+
 }  // namespace
 
 std::string spec_to_json(const RunSpec& spec) {
@@ -184,27 +204,20 @@ std::uint64_t ruling_set_hash(const std::vector<VertexId>& set) {
   return h;
 }
 
+std::string metrics_json(const mpc::MpcMetrics& metrics) {
+  std::ostringstream out;
+  out << "{";
+  append_metrics_fields(out, metrics);
+  out << "}";
+  return out.str();
+}
+
 std::string summary_json(const RulingSetResult& result) {
-  const mpc::MpcMetrics& m = result.metrics;
   std::ostringstream out;
   out << "{\"summary\":1,\"size\":" << result.ruling_set.size()
-      << ",\"phases\":" << result.phases << ",\"rounds\":" << m.rounds
-      << ",\"messages\":" << m.messages << ",\"total_words\":" << m.total_words
-      << ",\"max_send_words\":" << m.max_send_words
-      << ",\"max_recv_words\":" << m.max_recv_words
-      << ",\"max_storage_words\":" << m.max_storage_words
-      << ",\"violations\":" << m.violations
-      << ",\"random_words\":" << m.random_words
-      << ",\"faults_injected\":" << m.faults_injected
-      << ",\"checkpoints\":" << m.checkpoints
-      << ",\"recovery_rounds\":" << m.recovery_rounds
-      << ",\"degraded_subrounds\":" << m.degraded_subrounds
-      << ",\"deadline_misses\":" << m.deadline_misses
-      << ",\"speculative_rounds\":" << m.speculative_rounds
-      << ",\"corrupt_detected\":" << m.corrupt_detected
-      << ",\"integrity_retries\":" << m.integrity_retries
-      << ",\"quarantined_rounds\":" << m.quarantined_rounds
-      << ",\"set_hash\":" << ruling_set_hash(result.ruling_set) << "}";
+      << ",\"phases\":" << result.phases << ",";
+  append_metrics_fields(out, result.metrics);
+  out << ",\"set_hash\":" << ruling_set_hash(result.ruling_set) << "}";
   return out.str();
 }
 

@@ -77,7 +77,12 @@ RulingSetOptions options_from_spec(const RunSpec& spec);
 // output set for the summary line.
 std::uint64_t ruling_set_hash(const std::vector<VertexId>& set);
 
-// The summary line: final metrics ledger plus the set fingerprint.
+// The 17-field metrics ledger as one flat JSON object, fields in struct
+// order. Also the readable form of a ledger in test failure messages.
+std::string metrics_json(const mpc::MpcMetrics& metrics);
+
+// The summary line: set size, phases, the metrics_json fields, and the set
+// fingerprint.
 std::string summary_json(const RulingSetResult& result);
 
 // One recorded phase line: the trace JSON with wall_ms zeroed so recorded

@@ -91,11 +91,6 @@ std::optional<Algorithm> algorithm_from_name(std::string_view name) {
   for (const AlgorithmInfo& info : algorithm_registry()) {
     if (info.name == name) return info.algorithm;
   }
-  // Legacy CLI spellings, kept for one release.
-  if (name == "congest_luby") return Algorithm::kLubyCongest;
-  if (name == "congest_det2") return Algorithm::kDetRulingCongest;
-  if (name == "congest_beta") return Algorithm::kBetaRulingCongest;
-  if (name == "congest_aglp") return Algorithm::kAglpCongest;
   return std::nullopt;
 }
 

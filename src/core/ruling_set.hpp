@@ -68,8 +68,7 @@ const AlgorithmInfo& algorithm_info(Algorithm a);
 // Canonical name (stable across releases; used by CLI and benches).
 std::string algorithm_name(Algorithm a);
 
-// Parses a canonical name or a legacy alias (congest_luby, congest_det2,
-// congest_beta, congest_aglp); std::nullopt if unknown.
+// Parses a canonical name; std::nullopt if unknown.
 std::optional<Algorithm> algorithm_from_name(std::string_view name);
 
 // Canonical names, in Algorithm enum order (for --help and error messages).

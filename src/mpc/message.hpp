@@ -209,6 +209,8 @@ struct MpcMetrics {
   std::uint64_t corrupt_detected = 0;   // checksum mismatches caught on receive
   std::uint64_t integrity_retries = 0;  // retransmissions those triggered
   std::uint64_t quarantined_rounds = 0; // rounds re-executed after quarantine
+
+  bool operator==(const MpcMetrics&) const = default;
 };
 
 class MpcViolation : public std::runtime_error {

@@ -20,7 +20,7 @@
 // The receive-side bandwidth check is word-exact and each machine's RNG
 // stream is private — so results and MpcMetrics are bit-identical to
 // sequential execution (asserted in tests/test_threaded_determinism.cpp and
-// tests/test_transport_parity.cpp).
+// tests/test_barrier_parity.cpp).
 #pragma once
 
 #include <functional>

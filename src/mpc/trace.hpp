@@ -29,8 +29,9 @@ struct RoundTrace {
   std::uint64_t round = 0;
   // True for a drain boundary (delivery without spending a round).
   bool drain = false;
-  // Wall time spent executing the machine callbacks of this phase, across
-  // all workers, in milliseconds.
+  // Wall time of the whole phase in milliseconds, measured on the calling
+  // thread: barrier fault handling, delivery and integrity checks, the
+  // machine callbacks, and the send-arena merge and accounting.
   double wall_ms = 0.0;
   // Messages collected from the per-destination send arenas this phase.
   std::uint64_t messages = 0;

@@ -29,7 +29,7 @@
 #include "congest/luby_congest.hpp"
 
 // Derandomization toolkit.
-#include "util/cond_expect.hpp"
+#include "core/seed_fixing.hpp"
 #include "util/hash_family.hpp"
 
 // Core algorithms and the dispatcher.

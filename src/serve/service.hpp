@@ -80,9 +80,8 @@ struct ServiceConfig {
   double churn_ewma_alpha = 0.5;
   // Every k-th committed epoch runs the full in-model certification
   // (mpc::certify_ruling_set + sequential cross-validation) even on the
-  // frontier path; 0 = only when escalated. Ignored (always full) for
-  // non-MPC-certifiable backends? No: the full pass runs on the snapshot
-  // regardless of backend.
+  // frontier path; 0 = only when escalated. The full pass runs on the
+  // snapshot regardless of backend.
   std::uint64_t full_certify_every = 16;
   // Bounded retry for repairs that trip the strict budget (retried under
   // the degrade policy) or report deadline misses (retried with the

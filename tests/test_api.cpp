@@ -44,13 +44,11 @@ TEST(Api, RegistryCoversEveryAlgorithmExactlyOnce) {
   EXPECT_EQ(algorithm_names().size(), registry.size());
 }
 
-TEST(Api, AlgorithmFromNameAcceptsLegacyAliases) {
-  EXPECT_EQ(algorithm_from_name("congest_luby"), Algorithm::kLubyCongest);
-  EXPECT_EQ(algorithm_from_name("congest_det2"),
-            Algorithm::kDetRulingCongest);
-  EXPECT_EQ(algorithm_from_name("congest_beta"),
-            Algorithm::kBetaRulingCongest);
-  EXPECT_EQ(algorithm_from_name("congest_aglp"), Algorithm::kAglpCongest);
+TEST(Api, AlgorithmFromNameRejectsRetiredAliases) {
+  EXPECT_EQ(algorithm_from_name("congest_luby"), std::nullopt);
+  EXPECT_EQ(algorithm_from_name("congest_det2"), std::nullopt);
+  EXPECT_EQ(algorithm_from_name("congest_beta"), std::nullopt);
+  EXPECT_EQ(algorithm_from_name("congest_aglp"), std::nullopt);
   EXPECT_EQ(algorithm_from_name("no_such_algorithm"), std::nullopt);
   EXPECT_EQ(algorithm_from_name(""), std::nullopt);
 }

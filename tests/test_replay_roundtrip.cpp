@@ -3,6 +3,7 @@
 // healing and all — and tampered or version-mismatched logs must be
 // rejected with a useful diagnostic, not silently replayed.
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,6 +35,15 @@ struct FaultCase {
   const char* budget_policy = "strict";
   std::uint64_t deadline = 0;
 };
+
+// Names the case by its knobs. Without a printer gtest dumps the struct's
+// raw bytes, string-literal addresses included, into the test name, so the
+// name would shift whenever the binary's layout does.
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  *os << "faults=" << (*c.faults != '\0' ? c.faults : "none")
+      << " checkpoint_every=" << c.checkpoint_every
+      << " budget_policy=" << c.budget_policy << " deadline=" << c.deadline;
+}
 
 class ReplayEveryFaultKind : public ::testing::TestWithParam<FaultCase> {};
 

@@ -32,26 +32,6 @@ Graph make_graph(std::uint64_t n, double avg_deg, std::uint64_t seed,
   return build_graph(spec);
 }
 
-void expect_metrics_eq(const mpc::MpcMetrics& a, const mpc::MpcMetrics& b) {
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.total_words, b.total_words);
-  EXPECT_EQ(a.max_send_words, b.max_send_words);
-  EXPECT_EQ(a.max_recv_words, b.max_recv_words);
-  EXPECT_EQ(a.max_storage_words, b.max_storage_words);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.random_words, b.random_words);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.checkpoints, b.checkpoints);
-  EXPECT_EQ(a.recovery_rounds, b.recovery_rounds);
-  EXPECT_EQ(a.degraded_subrounds, b.degraded_subrounds);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.speculative_rounds, b.speculative_rounds);
-  EXPECT_EQ(a.corrupt_detected, b.corrupt_detected);
-  EXPECT_EQ(a.integrity_retries, b.integrity_retries);
-  EXPECT_EQ(a.quarantined_rounds, b.quarantined_rounds);
-}
-
 // ---------------------------------------------------------------- parser --
 
 TEST(ServeUpdatesParser, ParsesBatchesCommentsAndCrlf) {
@@ -328,8 +308,11 @@ TEST(ServeMpc, ChurnParityAllAlgorithmsAcrossThreadWidths) {
         if (report.scope != RepairScope::kSkip) {
           // A rerun happened this batch: its ledger and trace body must be
           // byte-identical to the oracle's.
-          expect_metrics_eq(service.last_repair_result().metrics,
-                            truth.metrics);
+          const mpc::MpcMetrics& repaired =
+              service.last_repair_result().metrics;
+          EXPECT_TRUE(repaired == truth.metrics)
+              << metrics_json(repaired) << " vs "
+              << metrics_json(truth.metrics);
           EXPECT_EQ(service_lines, oracle_lines)
               << info.name << " threads=" << threads << " batch=" << b;
           EXPECT_FALSE(service_lines.empty());

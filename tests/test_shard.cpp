@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/replay.hpp"
 #include "core/ruling_set.hpp"
 #include "graph/shard/shard_csr.hpp"
 #include "graph/shard/sharded_source.hpp"
@@ -235,26 +236,6 @@ TEST(ShardCsrTest, ValidateSpillDirRejectsBadPaths) {
 
 // -------------------------------------- sharded == materialized execution
 
-void expect_metrics_equal(const mpc::MpcMetrics& a, const mpc::MpcMetrics& b) {
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.total_words, b.total_words);
-  EXPECT_EQ(a.max_send_words, b.max_send_words);
-  EXPECT_EQ(a.max_recv_words, b.max_recv_words);
-  EXPECT_EQ(a.max_storage_words, b.max_storage_words);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.random_words, b.random_words);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.checkpoints, b.checkpoints);
-  EXPECT_EQ(a.recovery_rounds, b.recovery_rounds);
-  EXPECT_EQ(a.degraded_subrounds, b.degraded_subrounds);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.speculative_rounds, b.speculative_rounds);
-  EXPECT_EQ(a.corrupt_detected, b.corrupt_detected);
-  EXPECT_EQ(a.integrity_retries, b.integrity_retries);
-  EXPECT_EQ(a.quarantined_rounds, b.quarantined_rounds);
-}
-
 // The load-bearing equivalence: same algorithm, same config, one run on the
 // materialized graph and one on the sharded stream — identical output set
 // AND an identical metrics ledger, entry for entry. Nothing downstream of
@@ -276,7 +257,9 @@ TEST(ShardedExecution, DetRulingMatchesGlobalIngestion) {
   EXPECT_EQ(sharded.mark_steps, global.mark_steps);
   EXPECT_EQ(sharded.derand_chunks, global.derand_chunks);
   EXPECT_EQ(sharded.degree_trajectory, global.degree_trajectory);
-  expect_metrics_equal(sharded.metrics, global.metrics);
+  EXPECT_TRUE(sharded.metrics == global.metrics)
+      << metrics_json(sharded.metrics) << " vs "
+      << metrics_json(global.metrics);
 }
 
 TEST(ShardedExecution, MisDriversMatchGlobalIngestion) {
@@ -292,7 +275,9 @@ TEST(ShardedExecution, MisDriversMatchGlobalIngestion) {
     const RulingSetResult sharded = compute_ruling_set_sharded(
         *make_sharded_source(spec, options.mpc.num_machines), {}, options);
     EXPECT_EQ(sharded.ruling_set, global.ruling_set);
-    expect_metrics_equal(sharded.metrics, global.metrics);
+    EXPECT_TRUE(sharded.metrics == global.metrics)
+        << metrics_json(sharded.metrics) << " vs "
+        << metrics_json(global.metrics);
   }
 }
 
@@ -309,7 +294,8 @@ TEST(ShardedExecution, SpilledIngestionSameResult) {
   const RulingSetResult spilled =
       compute_ruling_set_sharded(*src, spill, options);
   EXPECT_EQ(spilled.ruling_set, ram.ruling_set);
-  expect_metrics_equal(spilled.metrics, ram.metrics);
+  EXPECT_TRUE(spilled.metrics == ram.metrics)
+      << metrics_json(spilled.metrics) << " vs " << metrics_json(ram.metrics);
 }
 
 TEST(ShardedExecution, UnsupportedAlgorithmThrows) {

@@ -48,6 +48,11 @@
 #      barrier-scaling rows must stay within a generous real_time tolerance
 #      of them, and every E1c row must report identical=1
 #      (tools/check_bench_baseline.sh).
+#  11. Benchmark parity: one short perfbench/run.py pass per workload
+#      (dense_phases, sharded_gather, serve_churn; seed 1). Its last line
+#      must report "correct": true and "failed": 0 — a set or ledger digest
+#      that differs from perfbench/expected.json sets both. No timing bound:
+#      this gates bit-parity of the benchmark workloads only.
 #
 # Usage: tools/ci.sh
 #
@@ -128,5 +133,15 @@ rm -rf "$shard_tmp"
 
 echo "=== ci: bench baseline (release-recorded, within tolerance) ==="
 "$repo_root/tools/check_bench_baseline.sh" "$repo_root/build-release"
+
+echo "=== ci: benchmark parity (perfbench digests, every workload) ==="
+for workload in dense_phases sharded_gather serve_churn; do
+  (cd "$repo_root" && python3 perfbench/run.py --workload "$workload" \
+       --seed 1 --seconds 1 --trace 0) | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print(sys.argv[1], r)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$workload"
+done
 
 echo "ci: PASS"

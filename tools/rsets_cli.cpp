@@ -17,7 +17,7 @@
 //
 // Every algorithm — sequential, MPC, and CONGEST — goes through the unified
 // compute_ruling_set dispatcher; --algorithm accepts any name from
-// rsets::algorithm_registry() (plus the legacy congest_* aliases).
+// rsets::algorithm_registry().
 //
 // --record writes a replayable execution log (see core/replay.hpp for the
 // format); --replay re-runs the recorded specification and byte-compares
