@@ -45,6 +45,26 @@ void BM_HashFamily_ProbBothOne(benchmark::State& state) {
   benchmark::DoNotOptimize(sum);
 }
 
+// The estimator's per-list pair term: pair_sum over an ascending list of
+// range(0) ids on a half-fixed level (the low 10 of 20 coefficient bits, the
+// order in which the seed-fixing engine fixes them; c free).
+void BM_HashFamily_PairSum(benchmark::State& state) {
+  PairwiseBitLevel level(20);
+  for (int i = 0; i < 10; ++i) level.fix_bit(i, i % 2);
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(state.range(0)));
+  std::uint32_t v = 1;
+  for (auto& id : ids) {
+    id = v;
+    v += 1 + (v * 0x9e37u) % 4096;  // gaps up to 4096 ids: mixed free parts
+  }
+  double sum = 0.0;
+  for (auto _ : state) {
+    sum += level.pair_sum(ids);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 void BM_HashFamily_MarkEval(benchmark::State& state) {
   MarkingFamily family(1 << 20, 8);
   for (int b = 0; b < family.total_seed_bits(); ++b) {
@@ -137,6 +157,7 @@ void BM_DistGraphLoad(benchmark::State& state) {
 
 BENCHMARK(BM_HashFamily_ProbOne);
 BENCHMARK(BM_HashFamily_ProbBothOne);
+BENCHMARK(BM_HashFamily_PairSum)->Arg(8)->Arg(32)->Arg(128);
 BENCHMARK(BM_HashFamily_MarkEval);
 BENCHMARK(BM_FixSeed)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_SimulatorRoundOverhead)->Arg(4)->Arg(16)->Arg(64);

@@ -23,7 +23,8 @@ struct Shard {
 // Partial estimator sums over one shard with level `current` of `family`
 // in its (tentative) state. Levels below are already folded in (survivor
 // lists); each level above contributes 1/2 to a marginal and 1/4 to a
-// pairwise joint.
+// pairwise joint. The pair term of a target list is one O(|T_v|) class
+// count (PairwiseBitLevel::pair_sum).
 std::pair<double, double> shard_partial(const Shard& shard,
                                         const MarkingFamily& family,
                                         int current) {
@@ -34,14 +35,8 @@ std::pair<double, double> shard_partial(const Shard& shard,
   double cover = 0.0;
   for (const auto& t_list : shard.target_lists) {
     double singles = 0.0;
-    double pairs = 0.0;
-    for (std::size_t i = 0; i < t_list.size(); ++i) {
-      singles += level.prob_one(t_list[i]);
-      for (std::size_t j = i + 1; j < t_list.size(); ++j) {
-        pairs += level.prob_both_one(t_list[i], t_list[j]);
-      }
-    }
-    cover += singles * single_factor - pairs * pair_factor;
+    for (const VertexId u : t_list) singles += level.prob_one(u);
+    cover += singles * single_factor - level.pair_sum(t_list) * pair_factor;
   }
   double edge_mass = 0.0;
   for (const Edge& e : shard.edges) {
@@ -90,6 +85,10 @@ DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
       if (t_list.size() >= trunc) break;
       if (is_candidate(u)) t_list.push_back(u);
     }
+    // Ascending ids keep equal free parts contiguous for pair_sum. Order is
+    // otherwise immaterial: every singles and pairs term is dyadic, so each
+    // list's sums are exact in any order.
+    std::sort(t_list.begin(), t_list.end());
     shards[dg.owner(v)].target_lists.push_back(std::move(t_list));
   }
   for (MachineId m = 0; m < m_count; ++m) {

@@ -27,9 +27,11 @@
 // Distribution: every machine holds estimator shards for the targets and
 // candidate edges it owns; one chunk of seed bits costs one width-2*2^c
 // allreduce (2 MPC rounds) in which all 2^c candidate assignments are
-// evaluated at once (cover and edge mass per assignment). The chosen seed is known everywhere, so marks are
-// locally evaluable with zero further communication — the property the
-// whole deterministic algorithm leans on.
+// evaluated at once (cover and edge mass per assignment). The pair term of
+// Z_v costs O(|T_v|) per evaluation, a class count rather than a loop over
+// pairs (PairwiseBitLevel::pair_sum). The chosen seed is known everywhere,
+// so marks are locally evaluable with zero further communication — the
+// property the whole deterministic algorithm leans on.
 #pragma once
 
 #include <cstdint>

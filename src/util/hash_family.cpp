@@ -1,5 +1,6 @@
 #include "util/hash_family.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rsets {
@@ -74,6 +75,53 @@ double PairwiseBitLevel::prob_both_one(std::uint64_t u,
   // constants cancel). Pair is uniform on the corresponding coset.
   const int diff = parity64((xu ^ xv) & fixed_vals_);
   return diff == 0 ? 0.5 : 0.0;
+}
+
+double PairwiseBitLevel::pair_sum(std::span<const std::uint32_t> ids) const {
+  auto pairs = [](std::uint64_t n) { return n * (n - 1) / 2; };
+  std::uint64_t free = 0;
+  std::uint64_t det_ones = 0;
+  std::uint64_t same_part = 0;   // sum_a C(n_a, 2)
+  std::uint64_t same_class = 0;  // sum_{a,q} C(n_{a,q}, 2)
+  // The current run of free ids sharing free part `part`; `odd` of them have
+  // fixed-part parity 1.
+  std::uint64_t part = 0;
+  std::uint64_t run = 0;
+  std::uint64_t odd = 0;
+  auto close_run = [&] {
+    same_part += pairs(run);
+    same_class += pairs(run - odd) + pairs(odd);
+    run = 0;
+    odd = 0;
+  };
+  for (const std::uint32_t id : ids) {
+    const std::uint64_t x = id & id_mask_;
+    const std::uint64_t a = free_coeff(x);
+    if (c_fixed_ && a == 0) {
+      det_ones += static_cast<std::uint64_t>(fixed_part(x));
+      continue;
+    }
+    if (run > 0 && a != part) {
+      if (a < part) {
+        // Free parts out of order, so a class may be split across runs:
+        // count a copy ordered by free part instead.
+        std::vector<std::uint32_t> sorted(ids.begin(), ids.end());
+        std::ranges::sort(sorted, {}, [&](std::uint32_t v) {
+          return free_coeff(v & id_mask_);
+        });
+        return pair_sum(sorted);
+      }
+      close_run();
+    }
+    part = a;
+    ++run;
+    ++free;
+    odd += static_cast<std::uint64_t>(parity64(x & fixed_vals_));
+  }
+  close_run();
+  const std::uint64_t quarters = pairs(free) - same_part + 2 * same_class +
+                                 2 * det_ones * free + 4 * pairs(det_ones);
+  return static_cast<double>(quarters) * 0.25;
 }
 
 int PairwiseBitLevel::eval(std::uint64_t v) const {

@@ -26,9 +26,29 @@
 //   * two affine forms with nonzero free parts are either equal (then their
 //     XOR is determined and the pair is uniform on a coset) or linearly
 //     independent (then jointly uniform on {0,1}^2).
+//
+// pair_sum(ids) answers the list query sum_{i<j} P(b(ids[i]) AND
+// b(ids[j])) — the Bonferroni pair term of the derandomization estimator —
+// by counting ids per class instead of visiting every pair. An id is either
+// determined (c fixed, free part 0: its bit is a known 0 or 1) or free; a
+// free id's class is its free part plus the parity of its fixed part. With F
+// free ids, D1 determined ids of value 1, n_a free ids sharing free part a
+// and n_{a,q} of those with parity q, the sum in quarters is
+//
+//   C(F,2) - sum_a C(n_a,2) + 2 sum_{a,q} C(n_{a,q},2) + 2 D1 F + 4 C(D1,2)
+//
+// (distinct free parts: 1/4; equal free parts: 1/2 at equal parity, else 0;
+// determined-1 with free: 1/2; two determined 1s: 1). Every term of the
+// pairwise sum is dyadic, so for lists below 2^26 ids (every partial sum a
+// multiple of 1/4 below 2^51) the integer quarter count equals the in-order
+// double sum of prob_both_one bit for bit. Cost: one O(|ids|) pass when the
+// free parts arrive in non-decreasing order — true for ascending ids while
+// the fixed coefficients are a low prefix, the order in which
+// core/seed_fixing fixes them — and a sort of a copy of the ids otherwise.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -58,6 +78,10 @@ class PairwiseBitLevel {
   // P(b(u) = 1 AND b(v) = 1 | fixed bits) for u != v:
   // one of {0, 0.25, 0.5, 1}.
   double prob_both_one(std::uint64_t u, std::uint64_t v) const;
+
+  // sum_{i<j} prob_both_one(ids[i], ids[j]), exactly, by class counts (see
+  // the header comment).
+  double pair_sum(std::span<const std::uint32_t> ids) const;
 
   // Evaluates b(v); requires fully_fixed().
   int eval(std::uint64_t v) const;

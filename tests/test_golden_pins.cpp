@@ -2,18 +2,21 @@
 // phase count, conditional-expectation chunk count, and the full 17-field
 // metrics ledger on small seeded graphs. Any change to the per-machine
 // estimator partials, the allreduce summation order, the argmax tie-break,
-// or the chunk schedule moves at least one of these values.
+// or the chunk schedule moves at least one of these values. A direct
+// derand_mark pin on a degree-128 graph covers target lists longer than 64.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/derand.hpp"
 #include "core/det_luby.hpp"
 #include "core/det_matching.hpp"
 #include "core/det_ruling.hpp"
 #include "core/replay.hpp"
 #include "graph/generators.hpp"
+#include "mpc/dist_graph.hpp"
 
 namespace rsets {
 namespace {
@@ -131,6 +134,36 @@ TEST(GoldenPins, DetMatchingMpc) {
     expect_pin(c.label, ruling_set_hash(endpoints), r.iterations,
                r.derand_chunks, r.metrics, c.pin);
   }
+}
+
+// The d = 64 probe of E7's estimator-integrity bench: targets have degree
+// >= 64 and levels = 7 truncates T_v at 128 ids, so the target lists are
+// longer than 64 ids.
+TEST(GoldenPins, DerandMarkLongLists) {
+  const Graph g = gen::random_regular(3000, 128, 104);
+  mpc::MpcConfig cfg;
+  cfg.num_machines = 8;
+  cfg.memory_words = std::size_t{1} << 26;
+  cfg.seed = 1;
+  mpc::Simulator sim(cfg);
+  mpc::DistGraph dg(sim, g);
+  std::vector<VertexId> targets;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.degree(v) >= 64) targets.push_back(v);
+  }
+  DerandMarkOptions opt;
+  opt.levels = 7;
+  opt.edge_budget = 1 << 22;
+  const std::vector<bool> all(g.num_vertices(), true);
+  const DerandMarkResult r = derand_mark(sim, dg, all, targets, opt);
+  // Values of the quadratic pair-loop estimator (the test oracle of
+  // PairwiseBitLevel::pair_sum).
+  EXPECT_EQ(ruling_set_hash(r.marked), 12107896814292684825u);
+  EXPECT_EQ(r.chunks, 28);
+  EXPECT_EQ(r.covered_targets, 1950u);
+  EXPECT_EQ(r.marked_edges, 7u);
+  EXPECT_EQ(r.initial_estimate, 1511.0275807762519);
+  EXPECT_EQ(r.final_estimate, 1652.9599456787109);
 }
 
 }  // namespace

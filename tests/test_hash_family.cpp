@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -129,6 +130,120 @@ TEST(PairwiseBitLevel, RejectsBadInputs) {
   EXPECT_THROW(level.eval(0), std::logic_error);
   EXPECT_THROW(PairwiseBitLevel(0), std::invalid_argument);
   EXPECT_THROW(PairwiseBitLevel(64), std::invalid_argument);
+}
+
+// The quadratic pair loop that pair_sum replaces; the oracle for the class
+// count.
+double quadratic_pair_sum(const PairwiseBitLevel& level,
+                          const std::vector<std::uint32_t>& ids) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      sum += level.prob_both_one(ids[i], ids[j]);
+    }
+  }
+  return sum;
+}
+
+// A level over `bits`-bit ids with each coefficient bit fixed to a random
+// value with probability 1/2 and the constant c left free (c < 0) or fixed
+// to c.
+PairwiseBitLevel random_partial_level(Rng& rng, int bits, int c) {
+  PairwiseBitLevel level(bits);
+  for (int i = 0; i < bits; ++i) {
+    if (rng.below(2) == 1) {
+      level.fix_bit(i, static_cast<int>(rng.below(2)));
+    }
+  }
+  if (c >= 0) level.fix_bit(bits, c);
+  return level;
+}
+
+constexpr std::size_t kPairSumLengths[] = {0, 1, 2, 63, 64, 65, 200};
+
+TEST(PairwiseBitLevel, PairSumMatchesQuadraticLoop) {
+  // Random ids in random order, repeats allowed; 8-bit ids make shared free
+  // parts and mixed parities common. Odd trials plant id 0, whose free part
+  // is 0 under every partial seed (free exactly while c is).
+  Rng rng(2311);
+  for (int trial = 0; trial < 40; ++trial) {
+    for (const int c : {-1, 0, 1}) {
+      const PairwiseBitLevel level = random_partial_level(rng, 8, c);
+      for (const std::size_t len : kPairSumLengths) {
+        std::vector<std::uint32_t> ids(len);
+        for (auto& id : ids) id = static_cast<std::uint32_t>(rng.below(256));
+        if (trial % 2 == 1 && len > 0) ids[rng.below(len)] = 0;
+        ASSERT_EQ(level.pair_sum(ids), quadratic_pair_sum(level, ids))
+            << "trial " << trial << " c " << c << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(PairwiseBitLevel, PairSumOnFullyFixedAndUnfixedLevels) {
+  Rng rng(52);
+  std::vector<std::uint32_t> ids(200);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<std::uint32_t>(i * 37 % 1024);
+  }
+  PairwiseBitLevel fixed(10);
+  for (int i = 0; i <= 10; ++i) {
+    fixed.fix_bit(i, static_cast<int>(rng.below(2)));
+  }
+  PairwiseBitLevel unfixed(10);
+  for (const std::size_t len : kPairSumLengths) {
+    const std::vector<std::uint32_t> list(ids.begin(), ids.begin() + len);
+    // All fixed: the count of pairs of ids whose bit is 1.
+    double ones = 0.0;
+    for (const std::uint32_t id : list) ones += fixed.eval(id);
+    EXPECT_EQ(fixed.pair_sum(list), ones * (ones - 1) / 2) << len;
+    EXPECT_EQ(fixed.pair_sum(list), quadratic_pair_sum(fixed, list)) << len;
+    // Nothing fixed: every pair of distinct ids is jointly uniform.
+    EXPECT_EQ(unfixed.pair_sum(list), quadratic_pair_sum(unfixed, list))
+        << len;
+    const double n = static_cast<double>(len);
+    EXPECT_EQ(unfixed.pair_sum(list), 0.25 * (n * (n - 1) / 2)) << len;
+  }
+}
+
+TEST(PairwiseBitLevel, PairSumOnListsSharingFreeParts) {
+  // Ids built from 3 free parts, each OR'ed with random fixed-position bits,
+  // so every free part holds many ids of both fixed-part parities. Odd
+  // trials fix a low prefix of the coefficients, the seed-fixing engine's
+  // order, and also check the list sorted, the order derand_mark passes.
+  Rng rng(404);
+  for (int trial = 0; trial < 30; ++trial) {
+    const bool prefix = trial % 2 == 1;
+    const int prefix_len = static_cast<int>(rng.below(17));
+    for (const int c : {-1, 0, 1}) {
+      PairwiseBitLevel level(16);
+      std::uint64_t fixed_mask = 0;
+      for (int i = 0; i < 16; ++i) {
+        if (prefix ? i < prefix_len : rng.below(4) != 0) {
+          level.fix_bit(i, static_cast<int>(rng.below(2)));
+          fixed_mask |= std::uint64_t{1} << i;
+        }
+      }
+      if (c >= 0) level.fix_bit(16, c);
+      const std::uint64_t free_mask = 0xFFFF & ~fixed_mask;
+      std::uint64_t free_parts[3];
+      for (auto& a : free_parts) a = rng.next() & free_mask;
+      for (const std::size_t len : kPairSumLengths) {
+        std::vector<std::uint32_t> ids(len);
+        for (auto& id : ids) {
+          id = static_cast<std::uint32_t>(free_parts[rng.below(3)] |
+                                          (rng.next() & fixed_mask));
+        }
+        ASSERT_EQ(level.pair_sum(ids), quadratic_pair_sum(level, ids))
+            << "trial " << trial << " c " << c << " length " << len;
+        if (prefix) {
+          std::sort(ids.begin(), ids.end());
+          ASSERT_EQ(level.pair_sum(ids), quadratic_pair_sum(level, ids))
+              << "sorted, trial " << trial << " c " << c << " length " << len;
+        }
+      }
+    }
+  }
 }
 
 TEST(MarkingFamily, UnconditionalMarkingProbability) {

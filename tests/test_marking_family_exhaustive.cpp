@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/hash_family.hpp"
@@ -100,6 +101,48 @@ TEST(MarkingFamilyExhaustive, JointsMatchUnderPartialSeeds) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(MarkingFamilyExhaustive, PairSumsMatchEnumeration) {
+  // For every level of a tiny family under random partial seeds, pair_sum
+  // must equal the expected number of list pairs whose level bits are both
+  // 1, averaged over every completion of the free seed bits.
+  Rng rng(73);
+  for (int trial = 0; trial < 30; ++trial) {
+    MarkingFamily family(8, 2);  // 3 id bits, 2 levels -> 8 seed bits
+    const int to_fix = static_cast<int>(rng.below(8));
+    for (int i = 0; i < to_fix; ++i) {
+      family.fix_global_bit(
+          static_cast<int>(rng.below(family.total_seed_bits())),
+          static_cast<int>(rng.below(2)));
+    }
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t v = 0; v < 8; ++v) {
+      if (rng.below(3) != 0) ids.push_back(v);
+    }
+    for (std::size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.below(i)]);
+    }
+    const auto free_list = free_bits(family);
+    const int f = static_cast<int>(free_list.size());
+    for (int j = 0; j < family.levels(); ++j) {
+      int hits = 0;
+      for (std::uint32_t assign = 0; assign < (1u << f); ++assign) {
+        MarkingFamily copy = family;
+        for (int b = 0; b < f; ++b) {
+          copy.fix_global_bit(free_list[b], (assign >> b) & 1u);
+        }
+        for (std::size_t a = 0; a < ids.size(); ++a) {
+          for (std::size_t b = a + 1; b < ids.size(); ++b) {
+            hits += copy.level(j).eval(ids[a]) & copy.level(j).eval(ids[b]);
+          }
+        }
+      }
+      ASSERT_EQ(family.level(j).pair_sum(ids),
+                static_cast<double>(hits) / std::exp2(f))
+          << "trial " << trial << " level " << j;
     }
   }
 }
