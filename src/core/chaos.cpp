@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -28,7 +29,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 // Picks one of four values using two bits of `h` at `slot`.
-double pick(std::uint64_t h, unsigned slot, const double (&choices)[4]) {
+template <class T>
+T pick(std::uint64_t h, unsigned slot, const T (&choices)[4]) {
   return choices[(h >> (2 * slot)) & 3];
 }
 
@@ -66,35 +68,87 @@ std::string chaos_fault_spec(std::uint64_t base_seed, std::uint64_t index) {
   return spec;
 }
 
+namespace {
+
+// Schedule `s`'s graph and run shape, shared by both soaks. The thread width
+// rotates across schedules so the soaks (and their TSan stages in
+// tools/check_tsan.sh) exercise the parallel barrier pipeline — sharded
+// merge, parallel verify/index, threaded callbacks — not just the
+// sequential path. Results are thread-invariant by construction, and every
+// run of a schedule and its reference share the width.
+template <class Options>
+RunSpec schedule_spec(const Options& options, std::uint64_t s) {
+  static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
+  RunSpec spec;
+  spec.gen = kGenerators[s % 4];
+  spec.n = options.n;
+  spec.avg_deg = options.avg_deg;
+  spec.seed = options.base_seed + s;
+  spec.machines = options.machines;
+  spec.threads = kSoakThreadWidths[s % 3];
+  return spec;
+}
+
+// The schedule loop both soaks run: body(s, base spec, graph, fault spec)
+// per schedule, then the schedule count and the progress callback.
+template <class Options, class Report, class Body>
+void for_each_schedule(const Options& options, Report& report, Body&& body) {
+  for (std::uint64_t s = 0; s < options.schedules; ++s) {
+    const RunSpec base = schedule_spec(options, s);
+    body(s, base, build_graph(base), chaos_fault_spec(options.base_seed, s));
+    ++report.schedules_run;
+    if (options.progress) options.progress(s + 1, report.runs);
+  }
+}
+
+// A broken contract, thrown from a run's checks and recorded by run_checked.
+struct SoakFailure {
+  std::string what;
+};
+
+[[noreturn]] void fail(std::string what) { throw SoakFailure{std::move(what)}; }
+
+// Runs one (schedule, algorithm) check body, recording a broken contract or
+// a service error as a failure that carries the run's exact fault spec.
+template <class Body>
+void run_checked(std::vector<ChaosFailure>& failures, std::uint64_t s,
+                 const RunSpec& run, Body&& body) {
+  try {
+    body();
+  } catch (const SoakFailure& f) {
+    failures.push_back({s, run.algorithm, run.faults, f.what});
+  } catch (const serve::ServiceError& e) {
+    failures.push_back({s, run.algorithm, run.faults,
+                        std::string("service error: ") + e.what()});
+  }
+}
+
+// Clean-room in-model certification of `set`, then the independent
+// sequential cross-validation of the certificate.
+void certify_or_fail(const Graph& g, const std::vector<VertexId>& set,
+                     std::uint32_t beta, const mpc::MpcConfig& mpc) {
+  const RulingSetCertificate cert = mpc::certify_ruling_set(g, set, beta, mpc);
+  if (!cert.valid()) fail("certification failed: " + cert.to_string());
+  if (!cross_validate_certificate(g, set, cert)) {
+    fail("certificate failed sequential cross-validation");
+  }
+}
+
+}  // namespace
+
 ChaosReport run_chaos_soak(const ChaosOptions& options) {
   ChaosReport report;
-  for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
-    // Every third schedule checkpoints, so crash recovery exercises both
-    // the from-round-zero and the from-durable-checkpoint paths.
-    base.checkpoint_every = (s % 3 == 0) ? 2 : 0;
-    const std::string fault_spec =
-        chaos_fault_spec(options.base_seed, s);
-    const Graph g = build_graph(base);
-
+  for_each_schedule(options, report, [&](std::uint64_t s, const RunSpec& base,
+                                         const Graph& g,
+                                         const std::string& fault_spec) {
     for (const AlgorithmInfo& info : algorithm_registry()) {
       if (info.model != Model::kMpc) continue;
       RunSpec run = base;
       run.algorithm = std::string(info.name);
       run.beta = info.min_beta;
-      // Rotate the simulator's thread width across schedules so the soak
-      // (and its TSan stage in tools/check_tsan.sh) exercises the parallel
-      // barrier pipeline — sharded merge, parallel verify/index, threaded
-      // callbacks — not just the sequential path. Results are
-      // thread-invariant by construction; truth and faulty runs share the
-      // width, so the faulty == truth contract is unchanged.
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
+      // Every third schedule checkpoints, so crash recovery exercises both
+      // the from-round-zero and the from-durable-checkpoint paths.
+      run.checkpoint_every = (s % 3 == 0) ? 2 : 0;
 
       // Ground truth: the fault-free execution of the same spec.
       const RulingSetResult truth =
@@ -110,40 +164,18 @@ ChaosReport run_chaos_soak(const ChaosOptions& options) {
       report.quarantined_rounds += faulty.metrics.quarantined_rounds;
       report.recovery_rounds += faulty.metrics.recovery_rounds;
 
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
-      if (faulty.ruling_set != truth.ruling_set) {
-        fail("faulty output diverged from the fault-free run (size " +
-             std::to_string(faulty.ruling_set.size()) + " vs " +
-             std::to_string(truth.ruling_set.size()) + ")");
-        continue;
-      }
-      if (options.certify) {
-        // Clean-room certification of the faulty run's output, then the
-        // independent sequential cross-validation of the certificate.
-        const RulingSetCertificate cert = mpc::certify_ruling_set(
-            g, faulty.ruling_set, run.beta, faulty_options.mpc);
-        if (!cert.valid()) {
-          fail("certification failed: " + cert.to_string());
-          continue;
+      run_checked(report.failures, s, run, [&] {
+        if (faulty.ruling_set != truth.ruling_set) {
+          fail("faulty output diverged from the fault-free run (size " +
+               std::to_string(faulty.ruling_set.size()) + " vs " +
+               std::to_string(truth.ruling_set.size()) + ")");
         }
-        if (!cross_validate_certificate(g, faulty.ruling_set, cert)) {
-          fail("certificate failed sequential cross-validation");
-          continue;
-        }
+        if (!options.certify) return;
+        certify_or_fail(g, faulty.ruling_set, run.beta, faulty_options.mpc);
         ++report.certified;
-      }
+      });
     }
-    ++report.schedules_run;
-    if (options.progress) options.progress(s + 1, report.runs);
-  }
+  });
   return report;
 }
 
@@ -152,11 +184,6 @@ namespace {
 // Thrown from the service's crash_hook to kill it mid-batch; deliberately
 // not derived from std::exception so no cleanup path can swallow it.
 struct SimulatedCrash {};
-
-std::uint64_t pick_u64(std::uint64_t h, unsigned slot,
-                       const std::uint64_t (&choices)[4]) {
-  return choices[(h >> (2 * slot)) & 3];
-}
 
 void accumulate(ChurnReport& report, const serve::ServiceMetrics& m) {
   report.epochs += m.epochs;
@@ -171,12 +198,6 @@ void accumulate(ChurnReport& report, const serve::ServiceMetrics& m) {
   report.recoveries += m.recoveries;
   report.faults_injected += m.faults_injected;
 }
-
-}  // namespace
-
-namespace {
-
-// --- concurrent multi-producer front -------------------------------------
 
 // One producer's scripted stream: protocol lines per batch, plus where (if
 // anywhere) its stream is poisoned and how the producer reacts to a strike.
@@ -241,14 +262,23 @@ serve::PushStatus producer_step(serve::MultiProducerIngest& ingest,
   return status;
 }
 
+// Schedule flavors that poison one producer's stream with a malformed line.
+// s%4==1 repeats the strike until the producer is ejected and tombstoned;
+// that needs a second producer, since ejecting the only one would drop the
+// rest of the stream. s%4==3 strikes once, then the producer heals and
+// recovers from quarantine.
+bool eject_flavor(const ChurnOptions& options, std::uint64_t s) {
+  return options.producers > 1 && s % 4 == 1;
+}
+bool heal_flavor(std::uint64_t s) { return s % 4 == 3; }
+
 std::vector<ProducerScript> build_producer_scripts(const ChurnOptions& options,
                                                    std::uint64_t s) {
   const std::uint32_t producers = options.producers;
   const std::uint64_t per_batch =
       std::max<std::uint64_t>(1, options.batch_updates / producers);
-  const bool eject_flavor = s % 4 == 1;
-  const bool heal_flavor = s % 4 == 3;
   const auto poisoned = static_cast<std::uint32_t>(s % producers);
+  const bool poison = eject_flavor(options, s) || heal_flavor(s);
   std::vector<ProducerScript> scripts(producers);
   for (std::uint32_t p = 0; p < producers; ++p) {
     ProducerScript& script = scripts[p];
@@ -256,11 +286,10 @@ std::vector<ProducerScript> build_producer_scripts(const ChurnOptions& options,
       const serve::UpdateBatch batch = chaos_churn_batch(
           options.base_seed, s, b * producers + p, options.n, per_batch);
       std::vector<std::string> lines;
-      if ((eject_flavor || heal_flavor) && p == poisoned &&
-          b == options.batches / 2) {
+      if (poison && p == poisoned && b == options.batches / 2) {
         lines.push_back("+ 1 1");  // self-loop: malformed, costs a strike
         script.poison_batch = b;
-        script.heal = heal_flavor;
+        script.heal = heal_flavor(s);
       }
       for (const serve::EdgeUpdate& u : batch.updates) {
         lines.push_back(serve::to_line(u));
@@ -323,26 +352,12 @@ std::vector<serve::UpdateBatch> expected_generations(
 }
 
 // Twin-comparable slice of the service ledger: everything except the
-// durability counters (journal_writes / recoveries / tombstones), which
-// legitimately differ between a crashed-and-recovered service and its
-// uncrashed twin.
-bool service_ledgers_equal(const serve::ServiceMetrics& a,
-                           const serve::ServiceMetrics& b) {
-  return a.epochs == b.epochs && a.batches == b.batches &&
-         a.updates_seen == b.updates_seen &&
-         a.updates_applied == b.updates_applied &&
-         a.updates_noop == b.updates_noop && a.skips == b.skips &&
-         a.repairs_frontier == b.repairs_frontier &&
-         a.repairs_full == b.repairs_full &&
-         a.cascade_repairs == b.cascade_repairs &&
-         a.repair_retries == b.repair_retries &&
-         a.quarantine_escalations == b.quarantine_escalations &&
-         a.certifications_region == b.certifications_region &&
-         a.certifications_full == b.certifications_full &&
-         a.faults_injected == b.faults_injected &&
-         a.heartbeats == b.heartbeats &&
-         a.watchdog_escalations == b.watchdog_escalations &&
-         a.watchdog_failstops == b.watchdog_failstops;
+// durability counters, which legitimately differ between a
+// crashed-and-recovered (or tombstone-journaling) service and its uncrashed
+// twin.
+serve::ServiceMetrics twin_ledger(serve::ServiceMetrics m) {
+  m.journal_writes = m.recoveries = m.tombstones = 0;
+  return m;
 }
 
 // Brute-force check of one epoch-pinned point query: BFS over the
@@ -412,36 +427,26 @@ serve::UpdateBatch chaos_churn_batch(std::uint64_t base_seed,
   return out;
 }
 
-namespace {
-
-// The concurrent counterpart of run_churn_soak (ChurnOptions::producers > 1):
-// every schedule routes its update stream through a MultiProducerIngest
-// driven by a seeded line-interleaving scheduler, and the parity battery
-// additionally pins generation alignment against the canonical per-producer
-// replay, producer quarantine/ejection semantics, epoch-pinned point
-// queries, and final bit-identity against a single-producer twin.
-ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
+ChurnReport run_churn_soak(const ChurnOptions& options) {
+  if (options.producers == 0) {
+    throw std::invalid_argument("run_churn_soak: producers must be >= 1");
+  }
   ChurnReport report;
-  std::vector<const AlgorithmInfo*> algorithms;
-  algorithms.push_back(&algorithm_info(Algorithm::kGreedySequential));
+  // The MPC registry plus the sequential greedy backend (the exact
+  // β-hop-cascade repair path).
+  std::vector<const AlgorithmInfo*> algorithms{
+      &algorithm_info(Algorithm::kGreedySequential)};
   for (const AlgorithmInfo& info : algorithm_registry()) {
     if (info.model == Model::kMpc) algorithms.push_back(&info);
   }
 
-  for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
-    const std::string fault_spec = chaos_fault_spec(options.base_seed, s);
-    const Graph g = build_graph(base);
-
+  for_each_schedule(options, report, [&](std::uint64_t s, const RunSpec& base,
+                                         const Graph& g,
+                                         const std::string& fault_spec) {
+    // Service-shape knobs rotate independently of the fault spec so the
+    // admission/deferral/escalation paths all see every fault mix.
     const std::uint64_t h = mix(options.base_seed ^ mix(s ^ 0x5ca1ab1eull));
     const bool crash_schedule = !options.journal_dir.empty() && s % 3 == 0;
-    const bool eject_flavor = s % 4 == 1;
-    const bool heal_flavor = s % 4 == 3;
     const auto poisoned = static_cast<std::uint32_t>(s % options.producers);
 
     // Producer scripts and the canonical generation alignment they must
@@ -461,9 +466,10 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
       run.algorithm = std::string(info->name);
       run.beta = info->max_beta == 0 ? std::max(info->min_beta, 2u)
                                      : info->min_beta;
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
 
+      // Fault-free from-scratch options: the parity oracle. The service
+      // itself runs under the fault schedule — faults may only move the
+      // cost ledger, so the maintained bits must still match this oracle.
       const RulingSetOptions truth_options = options_from_spec(run);
       run.faults = fault_spec;
 
@@ -474,37 +480,26 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
           [&service_lines](const mpc::RoundTrace& trace) {
             service_lines.push_back(record_line(trace));
           };
-      cfg.admit_budget = pick_u64(h, 0, {0, 4, 8, 16});
-      cfg.max_epochs_per_apply = pick_u64(h, 1, {0, 0, 2, 3});
-      cfg.full_certify_every = pick_u64(h, 2, {1, 4, 8, 16});
+      cfg.admit_budget = pick<std::uint64_t>(h, 0, {0, 4, 8, 16});
+      cfg.max_epochs_per_apply = pick<std::uint64_t>(h, 1, {0, 0, 2, 3});
+      cfg.full_certify_every = pick<std::uint64_t>(h, 2, {1, 4, 8, 16});
       cfg.full_threshold = pick(h, 3, {0.02, 0.05, 0.1, 0.3});
       // Half the schedules arm the watchdog with a deadline far above any
       // soak-sized repair: the armed path must not perturb parity (tripping
       // it is a deliberate unit-test scenario, not a soak flavor).
-      cfg.watchdog_deadline = pick_u64(h, 4, {0, 0, 1u << 20, 1u << 20});
+      cfg.watchdog_deadline =
+          pick<std::uint64_t>(h, 4, {0, 0, 1u << 20, 1u << 20});
       if (!options.journal_dir.empty()) {
-        cfg.journal_path = options.journal_dir + "/cchurn_s" +
+        cfg.journal_path = options.journal_dir + "/churn_s" +
                            std::to_string(s) + "_" + run.algorithm + ".rsj";
       }
 
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
-      try {
+      ++report.runs;
+      run_checked(report.failures, s, run, [&] {
         serve::MultiProducerIngest ingest(ishape);
-        std::vector<ProducerState> states(options.producers);
         serve::RulingSetService service(g, cfg);
-
         std::vector<serve::UpdateBatch> applied;
-        const std::size_t crash_generation = expected.size() / 2;
         bool crashed_any = false;
-        bool schedule_failed = false;
 
         // Journals ready tombstones, then applies every aligned generation,
         // running the parity battery after each: canonical alignment, oracle
@@ -515,17 +510,16 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
           for (const serve::ProducerTombstone& t : ingest.take_tombstones()) {
             service.record_tombstone(t);
           }
-          std::optional<serve::UpdateBatch> gen;
-          while (!schedule_failed && (gen = ingest.take_generation())) {
+          while (std::optional<serve::UpdateBatch> next =
+                     ingest.take_generation()) {
             const std::size_t index = applied.size();
-            applied.push_back(*gen);
             if (index >= expected.size() ||
-                !(gen->updates == expected[index].updates)) {
+                next->updates != expected[index].updates) {
               fail("generation " + std::to_string(index) +
                    " diverged from the canonical producer alignment");
-              schedule_failed = true;
-              return;
             }
+            applied.push_back(std::move(*next));
+            const serve::UpdateBatch& gen = applied.back();
 
             const serve::QueryHandle pinned = service.query();
             const auto probe = static_cast<VertexId>(mix(h + index) % options.n);
@@ -534,7 +528,7 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
 
             service_lines.clear();
             const bool crash_here =
-                crash_schedule && !crashed_any && index == crash_generation;
+                crash_schedule && index == expected.size() / 2;
             bool crashed = false;
             const std::uint64_t epoch_before = service.epoch();
             if (crash_here) {
@@ -544,7 +538,7 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             }
             serve::BatchReport breport;
             try {
-              breport = service.apply(*gen);
+              breport = service.apply(gen);
             } catch (const SimulatedCrash&) {
               crashed = true;
             }
@@ -554,10 +548,13 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
               accumulate(report, service.metrics());
               service = serve::RulingSetService::recover(cfg);
               service_lines.clear();
-              breport = service.epoch() == epoch_before ? service.apply(*gen)
+              // A batch is durably admitted at its first epoch commit; a
+              // crash before that means the client must resubmit it.
+              breport = service.epoch() == epoch_before ? service.apply(gen)
                                                         : service.drain();
             }
             service.crash_hook = nullptr;
+            // Drain deferrals so the parity checks see the whole generation.
             while (service.pending() > 0) {
               const serve::BatchReport more = service.drain();
               breport.epochs += more.epochs;
@@ -574,8 +571,6 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                    std::to_string(index) + " (size " +
                    std::to_string(service.ruling_set().size()) + " vs " +
                    std::to_string(oracle.ruling_set.size()) + ")");
-              schedule_failed = true;
-              return;
             }
             // When the generation committed as exactly one un-retried rerun,
             // the whole repair ledger and the record-log bodies must match a
@@ -596,15 +591,11 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                 fail("repair cost ledger diverged from the from-scratch rerun "
                      "at generation " +
                      std::to_string(index));
-                schedule_failed = true;
-                return;
               }
               if (service_lines != oracle_lines) {
                 fail("record-log bodies diverged from the from-scratch rerun "
                      "at generation " +
                      std::to_string(index));
-                schedule_failed = true;
-                return;
               }
             }
 
@@ -612,8 +603,6 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             const serve::QueryHandle fresh = service.query();
             if (fresh->epoch() != service.epoch()) {
               fail("fresh query handle is not at the committed epoch");
-              schedule_failed = true;
-              return;
             }
             for (int q = 0; q < 3; ++q) {
               const auto v =
@@ -621,8 +610,6 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
               if (!point_query_consistent(*fresh, v)) {
                 fail("point query inconsistent with brute force at epoch " +
                      std::to_string(service.epoch()));
-                schedule_failed = true;
-                return;
               }
               ++report.query_checks;
             }
@@ -633,8 +620,6 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                 (after.covered && (after.member != before.member ||
                                    after.distance != before.distance))) {
               fail("epoch-pinned query handle changed across a commit");
-              schedule_failed = true;
-              return;
             }
           }
         };
@@ -643,9 +628,9 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
         // push attempt, pump on backpressure and periodically. Different
         // schedules (and the mix stream) visit different interleavings; the
         // alignment check above proves the service never sees them.
+        std::vector<ProducerState> states(options.producers);
         std::uint64_t rng = mix(h ^ 0xC0FFEEull);
-        std::uint64_t steps = 0;
-        while (!schedule_failed) {
+        for (std::uint64_t steps = 1;; ++steps) {
           std::vector<std::uint32_t> active;
           for (std::uint32_t p = 0; p < options.producers; ++p) {
             if (!states[p].done) active.push_back(p);
@@ -655,253 +640,83 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
           const std::uint32_t p = active[rng % active.size()];
           const serve::PushStatus status =
               producer_step(ingest, p, scripts[p], states[p]);
-          ++steps;
           if (status == serve::PushStatus::kWouldBlock || steps % 7 == 0) {
             pump();
           }
         }
-        if (!schedule_failed) {
-          ingest.close_all();
-          pump();  // once all streams closed, every queued batch is takeable
-        }
+        ingest.close_all();
+        pump();  // once all streams closed, every queued batch is takeable
 
         const serve::IngestMetrics im = ingest.metrics();
+        if (!ingest.drained()) fail("ingest front not drained after close_all");
+        if (applied.size() != expected.size()) {
+          fail("applied " + std::to_string(applied.size()) +
+               " generations, canonical alignment has " +
+               std::to_string(expected.size()));
+        }
+        if (eject_flavor(options, s)) {
+          if (!ingest.ejected(poisoned) || im.ejections != 1) {
+            fail("poisoned producer was not ejected");
+          }
+          const std::vector<serve::ProducerTombstone>& tombstones =
+              service.tombstones();
+          if (std::none_of(tombstones.begin(), tombstones.end(),
+                           [&](const serve::ProducerTombstone& t) {
+                             return t.producer == poisoned;
+                           })) {
+            fail("ejection tombstone was not journaled");
+          }
+        }
+        if (heal_flavor(s) && (im.ejections != 0 || im.strikes == 0)) {
+          fail("healing producer should strike and recover, saw " +
+               std::to_string(im.strikes) + " strikes / " +
+               std::to_string(im.ejections) + " ejections");
+        }
+
+        // The uncrashed, unjournaled twin fed the merged sequence from
+        // scratch: final bits must match, and on crash-free schedules so
+        // must the whole twin-comparable metrics ledger.
+        serve::ServiceConfig twin_cfg = cfg;
+        twin_cfg.options.mpc.trace_hook = nullptr;
+        twin_cfg.journal_path.clear();
+        serve::RulingSetService twin(g, twin_cfg);
+        for (const serve::UpdateBatch& gen : applied) {
+          twin.apply(gen);
+          while (twin.pending() > 0) twin.drain();
+        }
+        if (twin.ruling_set() != service.ruling_set()) {
+          fail("final set diverged from the single-producer twin");
+        }
+        if (twin.graph().fingerprint() != service.graph().fingerprint()) {
+          fail("final graph fingerprint diverged from the twin");
+        }
+        if (twin.epoch() != service.epoch()) {
+          fail("final epoch diverged from the twin");
+        }
+        if (twin.metrics().heartbeats != service.metrics().heartbeats) {
+          fail("heartbeat position diverged from the twin (" +
+               std::to_string(service.metrics().heartbeats) + " vs " +
+               std::to_string(twin.metrics().heartbeats) + ")");
+        }
+        if (!crashed_any &&
+            twin_ledger(twin.metrics()) != twin_ledger(service.metrics())) {
+          fail("service metrics ledger diverged from the twin");
+        }
+
+        if (options.certify) {
+          certify_or_fail(service.snapshot(), service.ruling_set(), run.beta,
+                          cfg.options.mpc);
+          ++report.certified;
+        }
         report.generations += im.generations;
         report.backpressure += im.backpressure;
         report.producer_strikes += im.strikes;
         report.producer_ejections += im.ejections;
-
-        if (!schedule_failed && !ingest.drained()) {
-          fail("ingest front not drained after close_all");
-          schedule_failed = true;
-        }
-        if (!schedule_failed && applied.size() != expected.size()) {
-          fail("applied " + std::to_string(applied.size()) +
-               " generations, canonical alignment has " +
-               std::to_string(expected.size()));
-          schedule_failed = true;
-        }
-        if (!schedule_failed && eject_flavor) {
-          if (!ingest.ejected(poisoned) || im.ejections != 1) {
-            fail("poisoned producer was not ejected");
-            schedule_failed = true;
-          } else {
-            bool journaled = false;
-            for (const serve::ProducerTombstone& t : service.tombstones()) {
-              journaled = journaled || t.producer == poisoned;
-            }
-            if (!journaled) {
-              fail("ejection tombstone was not journaled");
-              schedule_failed = true;
-            }
-          }
-        }
-        if (!schedule_failed && heal_flavor &&
-            (im.ejections != 0 || im.strikes == 0)) {
-          fail("healing producer should strike and recover, saw " +
-               std::to_string(im.strikes) + " strikes / " +
-               std::to_string(im.ejections) + " ejections");
-          schedule_failed = true;
-        }
-
-        // The uncrashed single-producer twin fed the merged sequence from
-        // scratch: final bits must match, and on crash-free schedules so
-        // must the whole twin-comparable metrics ledger.
-        if (!schedule_failed) {
-          serve::ServiceConfig twin_cfg = cfg;
-          twin_cfg.options.mpc.trace_hook = nullptr;
-          if (!twin_cfg.journal_path.empty()) twin_cfg.journal_path += ".twin";
-          serve::RulingSetService twin(g, twin_cfg);
-          for (const serve::UpdateBatch& gen : applied) {
-            twin.apply(gen);
-            while (twin.pending() > 0) twin.drain();
-          }
-          if (twin.ruling_set() != service.ruling_set()) {
-            fail("final set diverged from the single-producer twin");
-            schedule_failed = true;
-          } else if (twin.graph().fingerprint() !=
-                     service.graph().fingerprint()) {
-            fail("final graph fingerprint diverged from the twin");
-            schedule_failed = true;
-          } else if (twin.epoch() != service.epoch()) {
-            fail("final epoch diverged from the twin");
-            schedule_failed = true;
-          } else if (twin.metrics().heartbeats !=
-                     service.metrics().heartbeats) {
-            fail("heartbeat position diverged from the twin (" +
-                 std::to_string(service.metrics().heartbeats) + " vs " +
-                 std::to_string(twin.metrics().heartbeats) + ")");
-            schedule_failed = true;
-          } else if (!crashed_any && !service_ledgers_equal(
-                                         twin.metrics(), service.metrics())) {
-            fail("service metrics ledger diverged from the twin");
-            schedule_failed = true;
-          }
-        }
-
-        ++report.runs;
-        if (!schedule_failed && options.certify) {
-          const Graph final_graph = service.snapshot();
-          const RulingSetCertificate cert = mpc::certify_ruling_set(
-              final_graph, service.ruling_set(), run.beta, cfg.options.mpc);
-          if (!cert.valid()) {
-            fail("final certification failed: " + cert.to_string());
-          } else if (!cross_validate_certificate(final_graph,
-                                                 service.ruling_set(), cert)) {
-            fail("final certificate failed sequential cross-validation");
-          } else {
-            ++report.certified;
-          }
-        }
         accumulate(report, service.metrics());
         report.heartbeats += service.metrics().heartbeats;
-      } catch (const serve::ServiceError& e) {
-        fail(std::string("service error: ") + e.what());
-        ++report.runs;
-      }
+      });
     }
-    ++report.schedules_run;
-    if (options.progress) options.progress(s + 1, report.runs);
-  }
-  return report;
-}
-
-}  // namespace
-
-ChurnReport run_churn_soak(const ChurnOptions& options) {
-  if (options.producers > 1) return run_concurrent_churn_soak(options);
-  ChurnReport report;
-  // The MPC registry plus the sequential greedy backend (the exact
-  // β-hop-cascade repair path).
-  std::vector<const AlgorithmInfo*> algorithms;
-  algorithms.push_back(&algorithm_info(Algorithm::kGreedySequential));
-  for (const AlgorithmInfo& info : algorithm_registry()) {
-    if (info.model == Model::kMpc) algorithms.push_back(&info);
-  }
-
-  for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
-    const std::string fault_spec = chaos_fault_spec(options.base_seed, s);
-    const Graph g = build_graph(base);
-
-    // Service-shape knobs rotate independently of the fault spec so the
-    // admission/deferral/escalation paths all see every fault mix.
-    const std::uint64_t h = mix(options.base_seed ^ mix(s ^ 0x5ca1ab1eull));
-    const bool crash_schedule = !options.journal_dir.empty() && s % 3 == 0;
-
-    for (const AlgorithmInfo* info : algorithms) {
-      RunSpec run = base;
-      run.algorithm = std::string(info->name);
-      run.beta = info->max_beta == 0 ? std::max(info->min_beta, 2u)
-                                     : info->min_beta;
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
-
-      // Fault-free from-scratch options: the parity oracle. The service
-      // itself runs under the fault schedule — faults may only move the
-      // cost ledger, so the maintained bits must still match this oracle.
-      const RulingSetOptions truth_options = options_from_spec(run);
-      run.faults = fault_spec;
-
-      serve::ServiceConfig cfg;
-      cfg.options = options_from_spec(run);
-      cfg.admit_budget = pick_u64(h, 0, {0, 4, 8, 16});
-      cfg.max_epochs_per_apply = pick_u64(h, 1, {0, 0, 2, 3});
-      cfg.full_certify_every = pick_u64(h, 2, {1, 4, 8, 16});
-      cfg.full_threshold =
-          pick(h, 3, {0.02, 0.05, 0.1, 0.3});
-      if (!options.journal_dir.empty()) {
-        cfg.journal_path = options.journal_dir + "/churn_s" +
-                           std::to_string(s) + "_" + run.algorithm + ".rsj";
-      }
-
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
-      try {
-        serve::RulingSetService service(g, cfg);
-        const std::uint64_t crash_batch = options.batches / 2;
-        bool schedule_failed = false;
-        for (std::uint64_t b = 0; b < options.batches; ++b) {
-          const serve::UpdateBatch batch = chaos_churn_batch(
-              options.base_seed, s, b, options.n, options.batch_updates);
-          const bool crash_here = crash_schedule && b == crash_batch;
-          bool crashed = false;
-          const std::uint64_t epoch_before = service.epoch();
-          if (crash_here) {
-            service.crash_hook = [](std::string_view stage) {
-              if (stage == "pre-commit") throw SimulatedCrash{};
-            };
-          }
-          serve::BatchReport breport;
-          try {
-            breport = service.apply(batch);
-          } catch (const SimulatedCrash&) {
-            crashed = true;
-          }
-          if (crashed) {
-            ++report.crashes_injected;
-            accumulate(report, service.metrics());
-            service = serve::RulingSetService::recover(cfg);
-            // A batch is durably admitted at its first epoch commit; a
-            // crash before that means the client must resubmit it.
-            breport = service.epoch() == epoch_before ? service.apply(batch)
-                                                      : service.drain();
-          }
-          // Drain deferrals so the parity check sees the whole batch.
-          while (service.pending() > 0) {
-            const serve::BatchReport more = service.drain();
-            breport.epochs += more.epochs;
-          }
-          ++report.batches_applied;
-          report.updates_deferred += breport.deferred;
-
-          const RulingSetResult oracle =
-              compute_ruling_set(service.snapshot(), truth_options);
-          if (service.ruling_set() != oracle.ruling_set) {
-            fail("incremental set diverged from from-scratch recompute at "
-                 "batch " +
-                 std::to_string(b) + " (size " +
-                 std::to_string(service.ruling_set().size()) + " vs " +
-                 std::to_string(oracle.ruling_set.size()) + ")");
-            schedule_failed = true;
-            break;
-          }
-        }
-        ++report.runs;
-        if (!schedule_failed && options.certify) {
-          const Graph final_graph = service.snapshot();
-          const RulingSetCertificate cert = mpc::certify_ruling_set(
-              final_graph, service.ruling_set(), run.beta, cfg.options.mpc);
-          if (!cert.valid()) {
-            fail("final certification failed: " + cert.to_string());
-          } else if (!cross_validate_certificate(
-                         final_graph, service.ruling_set(), cert)) {
-            fail("final certificate failed sequential cross-validation");
-          } else {
-            ++report.certified;
-          }
-        }
-        accumulate(report, service.metrics());
-      } catch (const serve::ServiceError& e) {
-        fail(std::string("service error: ") + e.what());
-        ++report.runs;
-      }
-    }
-    ++report.schedules_run;
-    if (options.progress) options.progress(s + 1, report.runs);
-  }
+  });
   return report;
 }
 

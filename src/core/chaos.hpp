@@ -78,12 +78,31 @@ ChaosReport run_chaos_soak(const ChaosOptions& options);
 // sequential greedy backend, whose exact cascade repair is the locality
 // showcase), then drives seeded update batches through it under the same
 // mixed fault specification, rotating admission budgets, deferral limits,
-// escalation thresholds, and simulator thread widths. The contract checked
-// after every drained batch: the incrementally maintained set is
-// bit-identical to a from-scratch, fault-free recompute on the current
-// graph. Every third schedule also kills the service mid-batch (a
-// crash_hook throw at the pre-commit stage), recovers it from the sealed
-// journal, and finishes the batch — recovery must land on the same bits.
+// escalation thresholds, watchdog arming, and simulator thread widths. The
+// batches reach the service through a MultiProducerIngest front with
+// ChurnOptions::producers producers, advanced by a seeded line-interleaving
+// scheduler. The checks per schedule:
+//
+//   1. the taken generations are exactly the canonical per-producer batch
+//      alignment (merge determinism under any interleaving);
+//   2. after every drained generation, the incrementally maintained set is
+//      bit-identical to a from-scratch, fault-free recompute on the current
+//      graph, and the repair ledger and record-log bodies match a
+//      from-scratch rerun whenever the generation committed as one
+//      un-retried rerun;
+//   3. point queries on a fresh handle agree with brute force, and a
+//      handle taken before the commit stays pinned at its epoch;
+//   4. the final state is bit-identical (set + graph fingerprint + epoch +
+//      heartbeats; the metrics ledger minus its durability counters on
+//      crash-free schedules) to an uncrashed, unjournaled twin fed the
+//      merged sequence from scratch, and passes full certification.
+//
+// Every third schedule also kills the service mid-batch (a crash_hook throw
+// at the pre-commit stage), recovers it from the sealed journal, and
+// finishes the batch — recovery must land on the same bits. Schedules with
+// s%4==3 poison one producer's stream once, then the producer heals and
+// recovers from quarantine; with two or more producers, s%4==1 poisons it
+// until the producer is ejected and its tombstone journaled.
 
 struct ChurnOptions {
   std::uint64_t schedules = 100;
@@ -104,24 +123,12 @@ struct ChurnOptions {
   // crash/recovery exercise (quick in-memory smoke). The soak writes one
   // journal per (schedule, algorithm) and leaves cleanup to the caller.
   std::string journal_dir;
-  // Concurrent multi-producer front (PR 9): producers > 1 routes every
-  // schedule's update batches through a MultiProducerIngest driven by a
-  // seeded line-interleaving scheduler. Schedule flavors poison one
-  // producer's stream (s%4==1: repeated strikes until ejection + tombstone;
-  // s%4==3: one strike, then the producer heals and recovers from
-  // quarantine), and the checks per schedule are: (1) the taken generations
-  // are exactly the canonical per-producer batch alignment (merge
-  // determinism under any interleaving), (2) every drained state matches a
-  // from-scratch fault-free recompute bit-for-bit, with the repair ledger
-  // and record-log bodies compared whenever a single-epoch rerun happened,
-  // (3) the final state is bit-identical (set + graph fingerprint + epoch +
-  // heartbeats; full metrics ledger on crash-free schedules) to a
-  // single-producer twin service fed the merged sequence from scratch, and
-  // (4) epoch-pinned point queries answered between commits reflect exactly
-  // the last committed epoch. producers == 1 is the classic path.
+  // Producers feeding the ingest front (>= 1). Each commits `batches`
+  // batches of batch_updates / producers updates, so generation g merges
+  // every producer's g-th batch. The ejection flavor needs at least two.
   std::uint32_t producers = 1;
-  // Per-producer committed-batch queue cap for the concurrent front
-  // (exercises backpressure); 0 = unbounded.
+  // Per-producer committed-batch queue cap of the ingest front (exercises
+  // backpressure); 0 = unbounded.
   std::uint64_t queue_cap = 2;
   // Optional progress callback: (schedules finished, service runs finished).
   std::function<void(std::uint64_t, std::uint64_t)> progress;
@@ -147,7 +154,7 @@ struct ChurnReport {
   std::uint64_t crashes_injected = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t certified = 0;  // final states that passed full certification
-  // Concurrent-front ledger (producers > 1; zero on the classic path).
+  // Ingest-front and query ledger.
   std::uint64_t generations = 0;         // aligned generations applied
   std::uint64_t backpressure = 0;        // pushes bounced/blocked by the cap
   std::uint64_t producer_strikes = 0;    // malformed/integrity strikes
@@ -167,6 +174,7 @@ serve::UpdateBatch chaos_churn_batch(std::uint64_t base_seed,
                                      std::uint64_t index, std::uint64_t batch,
                                      std::uint64_t n, std::uint64_t updates);
 
+// Throws std::invalid_argument when options.producers is 0.
 ChurnReport run_churn_soak(const ChurnOptions& options);
 
 }  // namespace rsets

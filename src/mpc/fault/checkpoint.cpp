@@ -62,28 +62,25 @@ void verify_checkpoint_image(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-void write_checkpoint_file(const Checkpoint& checkpoint,
-                           const std::string& path) {
-  if (checkpoint.empty()) {
-    throw CheckpointError("write_checkpoint_file: empty checkpoint");
-  }
+void write_sealed_file(const std::vector<std::uint8_t>& bytes,
+                       const std::string& path) {
   // Atomic publish: the bytes land in a sibling temp file, reach the disk via
   // fsync, and only then replace `path` with rename(2) — so a crash at any
-  // point leaves either the old complete checkpoint or the new complete one,
-  // never a torn RSCKPT01 file.
+  // point leaves either the old complete image or the new complete one,
+  // never a torn file.
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    throw CheckpointError("write_checkpoint_file: cannot open " + tmp);
+    throw CheckpointError("write_sealed_file: cannot open " + tmp);
   }
-  const std::uint8_t* data = checkpoint.bytes.data();
-  std::size_t left = checkpoint.bytes.size();
+  const std::uint8_t* data = bytes.data();
+  std::size_t left = bytes.size();
   while (left > 0) {
     const ssize_t n = ::write(fd, data, left);
     if (n <= 0) {
       ::close(fd);
       std::remove(tmp.c_str());
-      throw CheckpointError("write_checkpoint_file: short write to " + tmp);
+      throw CheckpointError("write_sealed_file: short write to " + tmp);
     }
     data += n;
     left -= static_cast<std::size_t>(n);
@@ -92,16 +89,24 @@ void write_checkpoint_file(const Checkpoint& checkpoint,
   const bool closed = ::close(fd) == 0;
   if (!synced || !closed) {
     std::remove(tmp.c_str());
-    throw CheckpointError("write_checkpoint_file: cannot sync " + tmp);
+    throw CheckpointError("write_sealed_file: cannot sync " + tmp);
   }
-  // Keep the checkpoint being replaced as `.prev`, the fallback
-  // read_checkpoint_file uses when the primary fails to decode. Best-effort:
-  // on the first write there is nothing to rotate.
+  // Keep the image being replaced as `.prev`, the fallback readers use when
+  // the primary fails to decode. Best-effort: on the first write there is
+  // nothing to rotate.
   std::rename(path.c_str(), (path + ".prev").c_str());
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    throw CheckpointError("write_checkpoint_file: cannot publish " + path);
+    throw CheckpointError("write_sealed_file: cannot publish " + path);
   }
+}
+
+void write_checkpoint_file(const Checkpoint& checkpoint,
+                           const std::string& path) {
+  if (checkpoint.empty()) {
+    throw CheckpointError("write_checkpoint_file: empty checkpoint");
+  }
+  write_sealed_file(checkpoint.bytes, path);
 }
 
 Checkpoint read_checkpoint_file(const std::string& path) {

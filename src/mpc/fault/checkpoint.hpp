@@ -226,14 +226,20 @@ void seal_checkpoint(std::vector<std::uint8_t>& bytes);
 void verify_checkpoint_image(const std::vector<std::uint8_t>& bytes,
                              const std::string& context);
 
+// Atomically publishes a sealed image at `path`: the bytes go to
+// `path.tmp`, are fsync'd, and rename(2) over `path`, rotating any prior
+// image to `path.prev` — a crash mid-write can never leave a torn file.
+// Throws CheckpointError on any I/O failure (the temp file is removed).
+// Checkpoints and service journals both publish through this.
+void write_sealed_file(const std::vector<std::uint8_t>& bytes,
+                       const std::string& path);
+
 // Disk round trip (binary, exactly Checkpoint::bytes). Throws
 // CheckpointError on I/O failure or a bad header.
 //
-// Writes are atomic: bytes go to `path.tmp`, are fsync'd, and rename(2) over
-// `path`, rotating any prior checkpoint to `path.prev` — a crash mid-write
-// can never leave a torn file. Reads fall back to `path.prev` when `path`
-// fails to decode, so one corrupt generation costs one checkpoint interval,
-// not the run.
+// Writes go through write_sealed_file. Reads fall back to `path.prev` when
+// `path` fails to decode, so one corrupt generation costs one checkpoint
+// interval, not the run.
 void write_checkpoint_file(const Checkpoint& checkpoint,
                            const std::string& path);
 Checkpoint read_checkpoint_file(const std::string& path);

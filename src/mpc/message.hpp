@@ -170,10 +170,10 @@ struct MpcConfig {
   // Verify the FNV-1a checksum of every delivered message even when no
   // corruption fault can fire. The check is CPU-only: checksums ride in the
   // already-charged message header, so a fault-free run with integrity on
-  // is byte-identical to one with it off (tools/check_integrity_parity.sh
-  // gates exactly this). Corruption faults (FaultConfig::corrupt_prob)
-  // activate verification implicitly — the attack is survivable only with
-  // the defense on.
+  // is byte-identical to one with it off (IntegrityAllMpc in
+  // tests/test_integrity.cpp gates exactly this). Corruption faults
+  // (FaultConfig::corrupt_prob) activate verification implicitly — the
+  // attack is survivable only with the defense on.
   bool integrity = false;
 };
 

@@ -375,8 +375,8 @@ void Simulator::run_phase(const RoundBody& body, bool reset_send_budget,
         // Verify-on-receive, one digest per aggregated buffer. After the
         // healing loop above a mismatch means the transport itself is
         // broken, so it is a hard failure — and in fault-free integrity
-        // runs this check is exactly what tools/check_integrity_parity.sh
-        // proves to be free.
+        // runs this check is exactly what IntegrityAllMpc in
+        // tests/test_integrity.cpp proves to be free.
         if (buffer_checksum(buf) != buf.checksum) {
           throw MpcViolation("integrity: checksum mismatch on delivery from "
                              "machine " +

@@ -1,11 +1,7 @@
 #include "serve/service.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <limits>
@@ -30,41 +26,12 @@ constexpr std::uint64_t kJournalMagic = 0x31304A5652535352ull;
 // service), same no-silent-upgrade policy as checkpoint v4 / replay v5.
 constexpr std::uint64_t kJournalVersion = 2;
 
+// Smoothing weight of the newest batch in the churn EWMA.
+constexpr double kChurnEwmaAlpha = 0.5;
+
 void widen(RepairScope& into, RepairScope scope) {
   if (static_cast<std::uint8_t>(scope) > static_cast<std::uint8_t>(into)) {
     into = scope;
-  }
-}
-
-// Same atomic publish discipline as write_checkpoint_file (tmp + fsync +
-// rename with .prev rotation), surfaced through the service's error type.
-void write_journal_file(const std::vector<std::uint8_t>& bytes,
-                        const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw ServiceError("journal: cannot open " + tmp);
-  const std::uint8_t* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n <= 0) {
-      ::close(fd);
-      std::remove(tmp.c_str());
-      throw ServiceError("journal: short write to " + tmp);
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  const bool closed = ::close(fd) == 0;
-  if (!synced || !closed) {
-    std::remove(tmp.c_str());
-    throw ServiceError("journal: cannot sync " + tmp);
-  }
-  std::rename(path.c_str(), (path + ".prev").c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw ServiceError("journal: cannot publish " + path);
   }
 }
 
@@ -200,8 +167,7 @@ void RulingSetService::commit_epoch(BatchReport& report) {
   const double frac =
       static_cast<double>(effective) /
       static_cast<double>(std::max<std::uint64_t>(graph_.num_edges(), 1));
-  churn_ewma_ = config_.churn_ewma_alpha * frac +
-                (1.0 - config_.churn_ewma_alpha) * churn_ewma_;
+  churn_ewma_ = kChurnEwmaAlpha * frac + (1.0 - kChurnEwmaAlpha) * churn_ewma_;
   RepairScope scope =
       (churn_ewma_ > config_.full_threshold || frac > config_.full_threshold)
           ? RepairScope::kFull
@@ -522,7 +488,11 @@ void RulingSetService::write_journal() {
   }
   w.u64(graph_.fingerprint());
   mpc::seal_checkpoint(bytes);
-  write_journal_file(bytes, config_.journal_path);
+  try {
+    mpc::write_sealed_file(bytes, config_.journal_path);
+  } catch (const mpc::CheckpointError& e) {
+    throw ServiceError(std::string("journal: ") + e.what());
+  }
   metrics_.journal_writes += 1;
 }
 

@@ -77,7 +77,6 @@ struct ServiceConfig {
   // smoothed) or the instantaneous batch fraction exceeds this, skip the
   // frontier analysis and run full recompute + full certification.
   double full_threshold = 0.10;
-  double churn_ewma_alpha = 0.5;
   // Every k-th committed epoch runs the full in-model certification
   // (mpc::certify_ruling_set + sequential cross-validation) even on the
   // frontier path; 0 = only when escalated. The full pass runs on the
@@ -149,6 +148,8 @@ struct ServiceMetrics {
   std::uint64_t watchdog_escalations = 0;  // frontier → full promotions
   std::uint64_t watchdog_failstops = 0;    // full-tier budget exhausted
   std::uint64_t tombstones = 0;            // producer ejections journaled
+
+  bool operator==(const ServiceMetrics&) const = default;
 };
 
 class RulingSetService {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/replay.hpp"
 #include "core/ruling_set.hpp"
 #include "graph/generators.hpp"
 #include "graph/verify.hpp"
@@ -76,15 +77,50 @@ TEST(Degrade, BitIdenticalToUnconstrainedRunOnEveryMpcAlgorithm) {
 
 TEST(Degrade, StrictAbortsWhereDegradeCompletes) {
   const Graph g = gen::gnp(300, 0.03, 5);
-  RulingSetOptions strict = options_for(Algorithm::kLubyMpc);
-  strict.mpc.budget_policy = mpc::BudgetPolicy::kStrict;
-  strict.mpc.memory_words = kTightBudget;
-  EXPECT_THROW(compute_ruling_set(g, strict), mpc::MpcViolation);
+  for (const Algorithm a : mpc_algorithms()) {
+    RulingSetOptions strict = options_for(a);
+    strict.mpc.budget_policy = mpc::BudgetPolicy::kStrict;
+    strict.mpc.memory_words = kTightBudget;
+    EXPECT_THROW(compute_ruling_set(g, strict), mpc::MpcViolation)
+        << algorithm_name(a);
 
-  RulingSetOptions degrade = options_for(Algorithm::kLubyMpc);
-  degrade.mpc.budget_policy = mpc::BudgetPolicy::kDegrade;
-  degrade.mpc.memory_words = kTightBudget;
-  EXPECT_NO_THROW(compute_ruling_set(g, degrade));
+    RulingSetOptions degrade = options_for(a);
+    degrade.mpc.budget_policy = mpc::BudgetPolicy::kDegrade;
+    degrade.mpc.memory_words = kTightBudget;
+    EXPECT_NO_THROW(compute_ruling_set(g, degrade)) << algorithm_name(a);
+  }
+}
+
+// The E1 configuration (gnp n=800, avg_deg 8, seed 3, 8 machines, gather
+// budget pinned to the tight budget), built from a RunSpec exactly as
+// rsets_cli builds it: a strict run at the default roomy memory, a degraded
+// run at the tight budget that must match it bit for bit, and a strict run
+// at the tight budget that must abort — so the budget really binds.
+TEST(Degrade, E1ConfigurationMatchesStrictOnEveryMpcAlgorithm) {
+  for (const Algorithm a : mpc_algorithms()) {
+    RunSpec spec;
+    spec.algorithm = algorithm_name(a);
+    spec.beta = algorithm_info(a).min_beta;
+    spec.gen = "gnp";
+    spec.n = 800;
+    spec.avg_deg = 8.0;
+    spec.seed = 3;
+    spec.machines = 8;
+    spec.budget = kTightBudget;
+    const Graph g = build_graph(spec);
+    const RulingSetResult roomy =
+        compute_ruling_set(g, options_from_spec(spec));
+
+    spec.memory_words = kTightBudget;
+    EXPECT_THROW(compute_ruling_set(g, options_from_spec(spec)),
+                 mpc::MpcViolation)
+        << spec.algorithm;
+    spec.budget_policy = "degrade";
+    const RulingSetResult degraded =
+        compute_ruling_set(g, options_from_spec(spec));
+    EXPECT_EQ(degraded.ruling_set, roomy.ruling_set) << spec.algorithm;
+    EXPECT_GT(degraded.metrics.degraded_subrounds, 0u) << spec.algorithm;
+  }
 }
 
 TEST(Degrade, RoomyBudgetAddsNothing) {

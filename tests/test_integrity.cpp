@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/replay.hpp"
 #include "core/ruling_set.hpp"
 #include "graph/generators.hpp"
 #include "mpc/fault/injector.hpp"
@@ -160,6 +161,42 @@ TEST_P(IntegrityAllMpc, CorruptionHealingIsThreadCountInvariant) {
   EXPECT_EQ(par.result.metrics.quarantined_rounds,
             seq.result.metrics.quarantined_rounds);
   EXPECT_EQ(par.result.metrics.total_words, seq.result.metrics.total_words);
+}
+
+// The E1 configuration (gnp n=800, avg_deg 8, seed 3, 8 machines), recorded
+// through a RunSpec exactly as `rsets_cli --record` records it. Turning
+// verification on in a fault-free run must leave every phase and summary
+// line byte-identical (only the meta line names the flag), and the
+// corrupt+reorder mix must heal to the same set.
+TEST_P(IntegrityAllMpc, E1RecordBodiesMatchAndCorruptionHeals) {
+  RunSpec spec;
+  spec.algorithm = algorithm_name(GetParam());
+  spec.beta = algorithm_info(GetParam()).min_beta;
+  spec.gen = "gnp";
+  spec.n = 800;
+  spec.avg_deg = 8.0;
+  spec.seed = 3;
+  spec.machines = 8;
+  RulingSetResult plain;
+  const std::vector<std::string> plain_log = record_run(spec, &plain);
+
+  spec.integrity = true;
+  RulingSetResult checked;
+  const std::vector<std::string> checked_log = record_run(spec, &checked);
+  EXPECT_EQ(checked.ruling_set, plain.ruling_set);
+  EXPECT_EQ(checked.metrics.corrupt_detected, 0u);
+  ASSERT_EQ(checked_log.size(), plain_log.size());
+  EXPECT_NE(checked_log.front(), plain_log.front());
+  for (std::size_t i = 1; i < plain_log.size(); ++i) {
+    EXPECT_EQ(checked_log[i], plain_log[i]) << "record line " << i;
+  }
+
+  spec.integrity = false;
+  spec.faults = "corrupt~0.1,reorder~0.5,seed=7";
+  const RulingSetResult noisy =
+      compute_ruling_set(build_graph(spec), options_from_spec(spec));
+  EXPECT_EQ(noisy.ruling_set, plain.ruling_set);
+  EXPECT_GT(noisy.metrics.corrupt_detected, 0u);
 }
 
 TEST(IntegrityTrace, NewFaultKindsSerialize) {

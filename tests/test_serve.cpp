@@ -523,6 +523,14 @@ TEST(ServeJournal, RecoverRejectsMismatchedConfigAndMissingJournal) {
   EXPECT_THROW(RulingSetService::recover(missing), ServiceError);
 }
 
+TEST(ServeJournal, UnwritableJournalSurfacesAsServiceError) {
+  ServiceConfig cfg;
+  cfg.options.algorithm = Algorithm::kGreedySequential;
+  cfg.options.beta = 2;
+  cfg.journal_path = ::testing::TempDir() + "serve_no_such_dir/j.rsj";
+  EXPECT_THROW(RulingSetService(make_graph(30, 3.0, 19), cfg), ServiceError);
+}
+
 // -------------------------------------------------------------- churn soak --
 
 TEST(ServeChurnSoak, DeterministicBatchGeneration) {
@@ -563,6 +571,22 @@ TEST(ServeChurnSoak, MixedFaultChurnSmokePassesWithCrashRecovery) {
   EXPECT_GT(report.crashes_injected, 0u);
   EXPECT_EQ(report.recoveries, report.crashes_injected);
   EXPECT_EQ(report.certified, report.runs);
+  // Exact counters of this configuration: how the batches reach the
+  // service (ingest front, producer count) must not move the repair mix.
+  EXPECT_EQ(report.epochs, 55u);
+  EXPECT_EQ(report.updates_applied, 250u);
+  EXPECT_EQ(report.skips, 5u);
+  EXPECT_EQ(report.frontier_repairs, 60u);
+  EXPECT_EQ(report.full_recomputes, 10u);
+  EXPECT_EQ(report.cascade_repairs, 12u);
+  EXPECT_EQ(report.region_certifications, 55u);
+  EXPECT_EQ(report.full_certifications, 15u);
+  EXPECT_EQ(report.faults_injected, 958u);
+  EXPECT_EQ(report.crashes_injected, 5u);
+  // With one producer the soak runs the whole battery, brute-force point
+  // queries and the twin comparison included.
+  EXPECT_GT(report.query_checks, 0u);
+  EXPECT_GT(report.heartbeats, 0u);
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 //   chaos_soak --schedules=40 --n=300   # the CI smoke configuration
 //   chaos_soak --no-certify             # identity checks only (fastest)
 //   chaos_soak --churn --journal_dir=D  # fault+churn soak over the
-//                                       # long-lived service (crash-mid-batch
-//                                       # recovery needs --journal_dir)
-//   chaos_soak --churn --producers=4    # concurrent multi-producer front:
+//                                       # long-lived service through a
+//                                       # 1-producer ingest front, with twin
+//                                       # and pinned-query checks
+//                                       # (crash-mid-batch recovery needs
+//                                       # --journal_dir)
+//   chaos_soak --churn --producers=4    # the same soak with 4 producers:
 //                                       # seeded interleavings, backpressure,
-//                                       # quarantine/ejection, pinned queries
+//                                       # quarantine/ejection
 //
 // Prints an aggregate key=value report; exits 0 only when every schedule
 // upheld the contract. A failure line carries the schedule index and the
@@ -20,11 +23,22 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/chaos.hpp"
 #include "util/flags.hpp"
 
 namespace {
+
+// Prints every failure with its reproduction spec; returns the exit code.
+int report_failures(const std::vector<rsets::ChaosFailure>& failures) {
+  for (const rsets::ChaosFailure& f : failures) {
+    std::cerr << "soak failure: schedule " << f.schedule << " algorithm "
+              << f.algorithm << " faults " << f.fault_spec << ": " << f.what
+              << "\n";
+  }
+  return failures.empty() ? 0 : 1;
+}
 
 int run_churn(const rsets::Flags& flags) {
   using namespace rsets;
@@ -73,23 +87,16 @@ int run_churn(const rsets::Flags& flags) {
             << "faults_injected=" << report.faults_injected << "\n"
             << "crashes_injected=" << report.crashes_injected << "\n"
             << "recoveries=" << report.recoveries << "\n"
-            << "certified=" << report.certified << "\n";
-  if (options.producers > 1) {
-    std::cout << "producers=" << options.producers << "\n"
-              << "generations=" << report.generations << "\n"
-              << "backpressure=" << report.backpressure << "\n"
-              << "producer_strikes=" << report.producer_strikes << "\n"
-              << "producer_ejections=" << report.producer_ejections << "\n"
-              << "query_checks=" << report.query_checks << "\n"
-              << "heartbeats=" << report.heartbeats << "\n";
-  }
-  std::cout << "failures=" << report.failures.size() << "\n";
-  for (const ChaosFailure& f : report.failures) {
-    std::cerr << "soak failure: schedule " << f.schedule << " algorithm "
-              << f.algorithm << " faults " << f.fault_spec << ": " << f.what
-              << "\n";
-  }
-  return report.ok() ? 0 : 1;
+            << "certified=" << report.certified << "\n"
+            << "producers=" << options.producers << "\n"
+            << "generations=" << report.generations << "\n"
+            << "backpressure=" << report.backpressure << "\n"
+            << "producer_strikes=" << report.producer_strikes << "\n"
+            << "producer_ejections=" << report.producer_ejections << "\n"
+            << "query_checks=" << report.query_checks << "\n"
+            << "heartbeats=" << report.heartbeats << "\n"
+            << "failures=" << report.failures.size() << "\n";
+  return report_failures(report.failures);
 }
 
 }  // namespace
@@ -144,12 +151,7 @@ int main(int argc, char** argv) {
               << "recovery_rounds=" << report.recovery_rounds << "\n"
               << "certified=" << report.certified << "\n"
               << "failures=" << report.failures.size() << "\n";
-    for (const ChaosFailure& f : report.failures) {
-      std::cerr << "soak failure: schedule " << f.schedule << " algorithm "
-                << f.algorithm << " faults " << f.fault_spec << ": "
-                << f.what << "\n";
-    }
-    return report.ok() ? 0 : 1;
+    return report_failures(report.failures);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

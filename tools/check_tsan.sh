@@ -21,10 +21,12 @@
 #   * Stage 3 (churn soak): a short fault+churn soak through the live
 #     ruling-set service (incremental repair + region certification +
 #     journal crash/recovery), with the same thread-width rotation, so the
-#     parallel simulator also runs under TSan from the serving path.
+#     parallel simulator also runs under TSan from the serving path. Its
+#     batches go through a 1-producer ingest front and epoch-pinned query
+#     handles, like every churn soak.
 #   * Stage 4 (concurrent ingest): the ServeConcurrent* unit tests (real
 #     producer threads pushing through the ingest front's mutex/condvar
-#     backpressure while a consumer drains) plus a short multi-producer
+#     backpressure while a consumer drains) plus a short 4-producer
 #     churn soak, so the lock discipline of MultiProducerIngest and the
 #     query-handle publish path run under TSan.
 #   * Run the full binary under TSan with: ./build-tsan/tests/rsets_tests

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Full local CI: the gates a change must pass before merging.
 #
-#   1. Regular build + complete test suite (ctest).
+#   1. Regular build + complete test suite (ctest). It carries the
+#      degrade-parity (Degrade.*) and integrity-parity (IntegrityAllMpc.*)
+#      gates, the E1 configuration included.
 #   2. ThreadSanitizer pass over the round-parallel simulator and its
 #      parallel barrier: unit tests, the barrier-parity suite, and a short
 #      thread-width-rotating chaos soak (tools/check_tsan.sh).
@@ -14,33 +16,27 @@
 #      harness alternates between the plain stream parser and producer-
 #      tagged multi-producer ingest (strikes/ejection/backpressure paths).
 #      Any escaping exception or crash fails the gate.
-#   6. Degrade parity: strict vs. degrade runs of every MPC algorithm on
-#      the E1 graph family must produce byte-identical ruling sets while
-#      the degrade run reports degraded_subrounds > 0.
-#   7. Integrity parity: fault-free runs with --integrity must be
-#      byte-identical to plain runs (set and ledger), and corrupted runs
-#      must heal to the same set (tools/check_integrity_parity.sh).
-#   8. Chaos soak smoke: 200 seeded mixed-fault schedules across every MPC
+#   6. Chaos soak smoke: 200 seeded mixed-fault schedules across every MPC
 #      algorithm; each faulty run must match its fault-free twin
 #      bit-for-bit and certify (60 s budget; the soak runs in ~5 s).
-#  8b. Churn soak: 100 seeded mixed fault+churn schedules drive a live
+#  6b. Churn soak: 100 seeded mixed fault+churn schedules drive a live
 #      RulingSetService (greedy + every MPC algorithm) through update
 #      batches; after every drained batch the maintained set must be
-#      bit-identical to a fault-free from-scratch recompute, every third
-#      schedule crashes mid-batch and recovers from its sealed journal, and
-#      every final state certifies in-model + cross-validates.
-#  8c. Concurrent churn soak: 100 seeded interleaving schedules route the
-#      same churn through a 4-producer ingest front (bounded queues,
-#      backpressure, poisoned-stream quarantine/ejection flavors); taken
-#      generations must equal the canonical per-producer alignment, every
-#      drained state must match both the from-scratch oracle and a
-#      single-producer twin bit-for-bit (set + metrics + record-log
-#      bodies, crash-mid-epoch recovery included), and epoch-pinned point
-#      queries must answer from exactly the last committed epoch.
-#   9. Sharded-generation gate: the cross-shard validator plus a
+#      bit-identical to a fault-free from-scratch recompute (set, and the
+#      repair ledger + record-log bodies after a single-epoch rerun), every
+#      third schedule crashes mid-batch and recovers from its sealed
+#      journal, every final state matches an uncrashed twin fed the same
+#      batches and certifies in-model + cross-validates, and epoch-pinned
+#      point queries must answer from exactly the last committed epoch.
+#      The batches go through a 1-producer ingest front.
+#  6c. Concurrent churn soak: the same soak through a 4-producer ingest
+#      front (bounded queues, backpressure, poisoned-stream
+#      quarantine/ejection flavors); taken generations must also equal the
+#      canonical per-producer alignment.
+#   7. Sharded-generation gate: the cross-shard validator plus a
 #      10^7-edge out-of-core smoke run (sharded graph500, spill-backed,
 #      certified in-model) through rsets_cli --sharded.
-#  10. Bench baseline gate: checked-in bench/baselines/*.json must carry
+#   8. Bench baseline gate: checked-in bench/baselines/*.json must carry
 #      release stamps on both build-type fields (the E12 shard_ooc, E13
 #      serve_churn, and E14 serve_concurrent baselines must exist, the
 #      serving rows with certified=1), a Release re-run of the E1b
@@ -48,7 +44,7 @@
 #      barrier-scaling rows must stay within a generous real_time tolerance
 #      of them, and every E1c row must report identical=1
 #      (tools/check_bench_baseline.sh).
-#  11. Benchmark parity: one short perfbench/run.py pass per workload
+#   9. Benchmark parity: one short perfbench/run.py pass per workload
 #      (dense_phases, sharded_gather, serve_churn; seed 1). Its last line
 #      must report "correct": true and "failed": 0 — a set or ledger digest
 #      that differs from perfbench/expected.json sets both. No timing bound:
@@ -88,12 +84,6 @@ echo "=== ci: fuzz smoke (io + flags + checkpoint + updates harnesses) ==="
 "$repo_root/build/fuzz/fuzz_checkpoint" --seconds=30
 "$repo_root/build/fuzz/fuzz_updates" --seconds=30
 
-echo "=== ci: degrade parity (strict vs degrade on the E1 family) ==="
-"$repo_root/tools/check_degrade_parity.sh" "$repo_root/build"
-
-echo "=== ci: integrity parity (plain vs --integrity vs corrupted) ==="
-"$repo_root/tools/check_integrity_parity.sh" "$repo_root/build"
-
 echo "=== ci: chaos soak (200 seeded mixed-fault schedules) ==="
 timeout 60 "$repo_root/build/tools/chaos_soak" --schedules=200 --seed=1
 
@@ -102,17 +92,16 @@ echo "=== ci: churn soak (100 mixed fault+churn schedules, journaled) ==="
 # service under edge churn and injected faults; every drained batch must be
 # bit-identical to a fault-free from-scratch recompute, every third schedule
 # crashes mid-batch and recovers from its sealed journal, and every final
-# state is certified in-model + cross-validated.
+# state must match its uncrashed twin and certify in-model + cross-validate.
 churn_tmp=$(mktemp -d)
 timeout 600 "$repo_root/build/tools/chaos_soak" --churn --schedules=100 \
     --seed=1 --journal_dir="$churn_tmp"
 rm -rf "$churn_tmp"
 
 echo "=== ci: concurrent churn soak (100 schedules, 4-producer ingest) ==="
-# Seeded line-interleavings through the multi-producer front: generation
-# alignment, backpressure, per-producer quarantine/ejection + tombstone
-# journaling, epoch-pinned queries, and final bit-identity against a
-# single-producer twin — including crash-mid-epoch recovery schedules.
+# The same soak with seeded line-interleavings of 4 producers: generation
+# alignment, backpressure, and per-producer quarantine/ejection + tombstone
+# journaling on top of the single-producer checks.
 cchurn_tmp=$(mktemp -d)
 timeout 900 "$repo_root/build/tools/chaos_soak" --churn --producers=4 \
     --schedules=100 --seed=1 --journal_dir="$cchurn_tmp"
