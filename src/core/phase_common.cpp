@@ -1,6 +1,8 @@
 #include "core/phase_common.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "core/greedy.hpp"
 #include "graph/ops.hpp"
@@ -48,47 +50,79 @@ std::vector<VertexId> gather_and_mis(Simulator& sim,
     }
     payload[deg_slot] = deg;
   }
-  const auto at_root = gather_to(sim, 0, contributions, 0xF1);
+  auto at_root = gather_to(sim, 0, contributions, 0xF1);
 
-  // Machine 0: decode, charge transient storage, greedy MIS by id order.
+  // Machine 0: decode each record as (v, its lower-neighbor list, deg) and
+  // charge the transient storage. Each list is strictly increasing with
+  // every entry below v (a filtered slice of a deduplicated CSR row).
+  struct Record {
+    VertexId v;
+    Word* lower;
+    std::uint64_t deg;
+  };
   std::size_t gathered_words = 0;
-  std::vector<Edge> edges;
-  std::vector<VertexId> nodes;
-  for (const auto& payload : at_root) {
+  std::vector<Record> records;
+  VertexId max_id = 0;
+  for (auto& payload : at_root) {
     gathered_words += payload.size();
     std::size_t i = 0;
     while (i < payload.size()) {
-      const auto v = static_cast<VertexId>(payload[i++]);
-      const auto deg = payload[i++];
-      nodes.push_back(v);
-      for (std::uint64_t d = 0; d < deg; ++d) {
-        edges.push_back({static_cast<VertexId>(payload[i++]), v});
-      }
+      const auto v = static_cast<VertexId>(payload[i]);
+      const std::uint64_t deg = payload[i + 1];
+      records.push_back({v, payload.data() + i + 2, deg});
+      max_id = std::max(max_id, v);
+      i += 2 + deg;
     }
   }
   sim.machine(0).charge_storage(gathered_words);
 
-  std::sort(nodes.begin(), nodes.end());
-  // Relabel into a compact subgraph for the greedy oracle.
-  const InducedSubgraph sub = [&] {
-    // Build directly from gathered edges; ids are original, so relabel.
-    std::vector<VertexId> relabel_src = nodes;
-    std::vector<Edge> relabelled;
-    relabelled.reserve(edges.size());
-    auto index_of = [&](VertexId v) {
-      return static_cast<VertexId>(
-          std::lower_bound(relabel_src.begin(), relabel_src.end(), v) -
-          relabel_src.begin());
-    };
-    for (const Edge& e : edges) {
-      relabelled.push_back({index_of(e.u), index_of(e.v)});
+  // Relabel to local ids 0..k-1 in id order. Ids are unique, so max id ==
+  // k-1 means they are exactly 0..k-1 (every phases=0 run): place each
+  // record at its id and keep every arc as it is. Otherwise sort the
+  // records and rewrite each arc once by binary search over the k ids —
+  // machine 0 holds nothing n-sized.
+  const std::size_t k = records.size();
+  InducedSubgraph sub;
+  sub.to_original.resize(k);
+  if (k != 0 && max_id == k - 1) {
+    std::vector<Record> by_id(k);
+    for (const Record& r : records) by_id[r.v] = r;
+    records = std::move(by_id);
+    std::iota(sub.to_original.begin(), sub.to_original.end(), VertexId{0});
+  } else {
+    std::sort(records.begin(), records.end(),
+              [](const Record& a, const Record& b) { return a.v < b.v; });
+    for (std::size_t i = 0; i < k; ++i) sub.to_original[i] = records[i].v;
+    for (const Record& r : records) {
+      for (Word& u : std::span(r.lower, r.deg)) {
+        u = static_cast<Word>(
+            std::lower_bound(sub.to_original.begin(), sub.to_original.end(),
+                             static_cast<VertexId>(u)) -
+            sub.to_original.begin());
+      }
     }
-    InducedSubgraph s;
-    s.graph = Graph::from_edges(static_cast<VertexId>(relabel_src.size()),
-                                relabelled);
-    s.to_original = std::move(relabel_src);
-    return s;
-  }();
+  }
+
+  // Local CSR in two sweeps, no sort: count degrees, then in ascending i
+  // write i's lower neighbors into its bucket and append i to each lower
+  // neighbor's bucket. Bucket j receives its own lower list at step j and
+  // then its upper neighbors in ascending order, so every bucket comes out
+  // strictly increasing.
+  std::vector<std::uint64_t> offsets(k + 1, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    offsets[i + 1] += records[i].deg;
+    for (Word j : std::span(records[i].lower, records[i].deg)) ++offsets[j + 1];
+  }
+  for (std::size_t i = 0; i < k; ++i) offsets[i + 1] += offsets[i];
+  std::vector<VertexId> adjacency(offsets[k]);
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (Word j : std::span(records[i].lower, records[i].deg)) {
+      adjacency[cursor[i]++] = static_cast<VertexId>(j);
+      adjacency[cursor[j]++] = static_cast<VertexId>(i);
+    }
+  }
+  sub.graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
 
   const std::vector<VertexId> local_mis = greedy_mis(sub.graph);
   std::vector<VertexId> mis;

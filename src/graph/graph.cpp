@@ -2,40 +2,86 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace rsets {
 
 Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
   Graph g;
-  std::vector<std::uint64_t> counts(num_vertices + 1, 0);
-  // Symmetrize into a scratch arc list, then sort-dedup per vertex.
-  std::vector<std::pair<VertexId, VertexId>> arcs;
-  arcs.reserve(edges.size() * 2);
+  auto& offsets = g.offsets_;
+  auto& adj = g.adjacency_;
+  // Count each vertex's raw arcs into offsets[v], then prefix-sum so that
+  // offsets[v] is the end of v's bucket.
+  offsets.assign(std::size_t{num_vertices} + 1, 0);
   for (const Edge& e : edges) {
     if (e.u == e.v) continue;
     if (e.u >= num_vertices || e.v >= num_vertices) {
       throw std::out_of_range("Graph::from_edges: endpoint out of range");
     }
-    arcs.emplace_back(e.u, e.v);
-    arcs.emplace_back(e.v, e.u);
+    ++offsets[e.u];
+    ++offsets[e.v];
   }
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  for (VertexId v = 1; v < num_vertices; ++v) offsets[v] += offsets[v - 1];
+  const std::uint64_t raw = num_vertices == 0 ? 0 : offsets[num_vertices - 1];
 
-  for (const auto& [u, v] : arcs) counts[u + 1]++;
-  for (VertexId v = 0; v < num_vertices; ++v) counts[v + 1] += counts[v];
+  // Scatter both directions, filling each bucket from its end; afterwards
+  // offsets[v] is the start of v's bucket.
+  adj.resize(raw);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;
+    adj[--offsets[e.u]] = e.v;
+    adj[--offsets[e.v]] = e.u;
+  }
+  offsets[num_vertices] = raw;
 
-  g.offsets_ = std::move(counts);
-  g.adjacency_.reserve(arcs.size());
-  for (const auto& [u, v] : arcs) g.adjacency_.push_back(v);
+  // Sort + dedup each bucket, compacting in place. The write head never
+  // passes the read head, and offsets[v + 1] is read before it is rewritten.
+  std::uint64_t w = 0;
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    const std::uint64_t lo = offsets[v];
+    const std::uint64_t hi = offsets[v + 1];
+    offsets[v] = w;
+    std::sort(adj.begin() + lo, adj.begin() + hi);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      if (i == lo || adj[i] != adj[w - 1]) adj[w++] = adj[i];
+    }
+  }
+  offsets[num_vertices] = w;
+  if (w != raw) {
+    adj.resize(w);
+    adj.shrink_to_fit();
+  }
   return g;
 }
+
+namespace {
+
+// Throws std::invalid_argument unless v's list is strictly increasing,
+// free of self-loops, and below n.
+void check_row(const char* builder, VertexId v, VertexId n,
+               std::span<const VertexId> row) {
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const char* fault = nullptr;
+    if (row[i] >= n) {
+      fault = "neighbor out of range";
+    } else if (row[i] == v) {
+      fault = "self-loop";
+    } else if (i > 0 && row[i] <= row[i - 1]) {
+      fault = "list not strictly increasing";
+    }
+    if (fault != nullptr) {
+      throw std::invalid_argument(std::string(builder) + ": " + fault);
+    }
+  }
+}
+
+}  // namespace
 
 Graph Graph::from_sorted_adjacency(
     const std::vector<std::vector<VertexId>>& adjacency) {
   const VertexId n = static_cast<VertexId>(adjacency.size());
   Graph g;
-  g.offsets_.assign(n + 1, 0);
+  g.offsets_.assign(std::size_t{n} + 1, 0);
   std::uint64_t arcs = 0;
   for (VertexId v = 0; v < n; ++v) {
     arcs += adjacency[v].size();
@@ -43,25 +89,26 @@ Graph Graph::from_sorted_adjacency(
   }
   g.adjacency_.reserve(arcs);
   for (VertexId v = 0; v < n; ++v) {
-    VertexId prev = 0;
-    bool first = true;
-    for (VertexId u : adjacency[v]) {
-      if (u >= n) {
-        throw std::invalid_argument(
-            "Graph::from_sorted_adjacency: neighbor out of range");
-      }
-      if (u == v) {
-        throw std::invalid_argument(
-            "Graph::from_sorted_adjacency: self-loop");
-      }
-      if (!first && u <= prev) {
-        throw std::invalid_argument(
-            "Graph::from_sorted_adjacency: list not strictly increasing");
-      }
-      prev = u;
-      first = false;
-      g.adjacency_.push_back(u);
-    }
+    check_row("Graph::from_sorted_adjacency", v, n, adjacency[v]);
+    g.adjacency_.insert(g.adjacency_.end(), adjacency[v].begin(),
+                        adjacency[v].end());
+  }
+  return g;
+}
+
+Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
+                      std::vector<VertexId> adjacency) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != adjacency.size() ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    throw std::invalid_argument("Graph::from_csr: malformed offsets");
+  }
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.adjacency_ = std::move(adjacency);
+  const VertexId n = g.num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    check_row("Graph::from_csr", v, n, g.neighbors(v));
   }
   return g;
 }

@@ -24,7 +24,11 @@ class Graph {
  public:
   Graph() = default;
 
-  // Builds from an edge list; symmetrizes, drops self-loops and duplicates.
+  // Builds from an edge list; symmetrizes and drops duplicates. Self-loops
+  // are dropped before the range check, so {7, 7} at n = 5 is ignored; any
+  // other endpoint >= num_vertices throws std::out_of_range. Counting sort
+  // by source, then a sort + dedup of each bucket: O(n + m + sum d log d)
+  // time, no scratch beyond the CSR itself.
   static Graph from_edges(VertexId num_vertices, std::span<const Edge> edges);
 
   // Fast path for callers that already maintain per-vertex sorted adjacency
@@ -36,6 +40,14 @@ class Graph {
   // against from_edges on the same edge set.
   static Graph from_sorted_adjacency(
       const std::vector<std::vector<VertexId>>& adjacency);
+
+  // Adopts a CSR the caller built (the gathered subgraph of
+  // detail::gather_and_mis) without copying it. offsets must have n + 1
+  // non-decreasing entries from 0 to adjacency.size(), and each list obeys
+  // from_sorted_adjacency's rules; violations throw std::invalid_argument.
+  // Symmetry is again the caller's contract.
+  static Graph from_csr(std::vector<std::uint64_t> offsets,
+                        std::vector<VertexId> adjacency);
 
   VertexId num_vertices() const {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);
@@ -63,6 +75,13 @@ class Graph {
   // Sum over vertices of degree^2 — the cost driver of the pairwise
   // estimators; benches report it.
   std::uint64_t degree_square_sum() const;
+
+  // The raw CSR: offsets has n + 1 entries (empty for a default-constructed
+  // Graph) and neighbors(v) is adjacency[offsets[v], offsets[v + 1]).
+  std::span<const std::uint64_t> offsets() const { return offsets_; }
+  std::span<const VertexId> adjacency() const { return adjacency_; }
+
+  friend bool operator==(const Graph&, const Graph&) = default;
 
  private:
   std::vector<std::uint64_t> offsets_;  // size n+1

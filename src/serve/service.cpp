@@ -76,9 +76,9 @@ RulingSetService::RulingSetService(const Graph& initial, ServiceConfig config)
   last_result_ = std::move(r);
   for (VertexId v : set_) in_set_[v] = true;
   metrics_.repairs_full += 1;
-  certify_epoch({}, set_, /*full=*/true, report);
+  certify_epoch(initial, {}, set_, /*full=*/true, report);
   write_journal();
-  publish_snapshot();
+  publish_snapshot(Graph(initial));
 }
 
 BatchReport RulingSetService::apply(const UpdateBatch& batch) {
@@ -162,6 +162,10 @@ void RulingSetService::commit_epoch(BatchReport& report) {
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
+  // The graph is final for this epoch: one O(n + m) snapshot serves the
+  // repair, the full certification and the published query view.
+  const Graph snapshot = graph_.snapshot();
+
   // Churn estimator: EWMA of the effective-update fraction decides whether
   // the frontier analysis is still worth it.
   const double frac =
@@ -182,8 +186,7 @@ void RulingSetService::commit_epoch(BatchReport& report) {
     set_ = cascade_repair(seeds, deleted, &repair_work);
     used_cascade = true;
   } else {
-    RulingSetResult r = run_repair(graph_.snapshot(), report,
-                                   &force_full_certify);
+    RulingSetResult r = run_repair(snapshot, report, &force_full_certify);
     repair_work = r.metrics.rounds;
     set_ = r.ruling_set;
     last_result_ = std::move(r);
@@ -202,8 +205,7 @@ void RulingSetService::commit_epoch(BatchReport& report) {
     scope = RepairScope::kFull;
     force_full_certify = true;
     if (used_cascade) {
-      RulingSetResult r = run_repair(graph_.snapshot(), report,
-                                     &force_full_certify);
+      RulingSetResult r = run_repair(snapshot, report, &force_full_certify);
       repair_work = r.metrics.rounds;
       set_ = r.ruling_set;
       last_result_ = std::move(r);
@@ -232,7 +234,7 @@ void RulingSetService::commit_epoch(BatchReport& report) {
       force_full_certify ||
       (config_.full_certify_every != 0 &&
        (epoch_ + 1) % config_.full_certify_every == 0);
-  certify_epoch(seeds, old_set, full, report);
+  certify_epoch(snapshot, seeds, old_set, full, report);
   metrics_.heartbeats += 1;  // certification finished
 
   widen(report.scope, scope);
@@ -250,7 +252,11 @@ void RulingSetService::commit_epoch(BatchReport& report) {
     metrics_.watchdog_failstops += 1;
   }
   write_journal();
-  publish_snapshot();
+  // The query view gets a copy. The epoch's own snapshot is then freed on
+  // return and its pages are reused by the next epoch's; moving it into the
+  // view instead measured several times more minor page faults on
+  // serve_churn, with slower epochs and ~7% fewer queries per second.
+  publish_snapshot(Graph(snapshot));
   if (crash_hook) crash_hook("committed");
   if (fail_stop) {
     throw ServiceError(
@@ -411,12 +417,12 @@ std::vector<VertexId> RulingSetService::cascade_repair(
   return out;
 }
 
-void RulingSetService::certify_epoch(std::span<const VertexId> dirty_seeds,
+void RulingSetService::certify_epoch(const Graph& snap,
+                                     std::span<const VertexId> dirty_seeds,
                                      std::span<const VertexId> old_set,
                                      bool full, BatchReport& report) {
   const std::uint32_t beta = config_.options.beta;
   if (full) {
-    const Graph snap = graph_.snapshot();
     const RulingSetCertificate cert =
         mpc::certify_ruling_set(snap, set_, beta, config_.options.mpc);
     if (!cert.valid()) {
@@ -513,11 +519,11 @@ QueryHandle RulingSetService::query() const {
   return query_handle_;
 }
 
-void RulingSetService::publish_snapshot() {
-  // Built outside the lock (O(n+m)); the critical section is one pointer
-  // swap, so a concurrent reader never waits on snapshot construction.
+void RulingSetService::publish_snapshot(Graph graph) {
+  // Built outside the lock; the critical section is one pointer swap, so a
+  // concurrent reader never waits on snapshot construction.
   auto snapshot = std::make_shared<const QuerySnapshot>(
-      epoch_, config_.options.beta, graph_.snapshot(), set_);
+      epoch_, config_.options.beta, std::move(graph), set_);
   std::lock_guard<std::mutex> lock(*query_mu_);
   query_handle_ = std::move(snapshot);
 }
@@ -612,7 +618,7 @@ RulingSetService RulingSetService::recover(ServiceConfig config) {
     // Metrics are per-process counters: a recovered service starts a fresh
     // ledger (epoch() and heartbeats alone carry absolute positions).
     svc.metrics_.recoveries = 1;
-    svc.publish_snapshot();
+    svc.publish_snapshot(svc.graph_.snapshot());
     return svc;
   };
   try {

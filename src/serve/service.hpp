@@ -231,11 +231,11 @@ class RulingSetService {
       std::span<const VertexId> seeds,
       const std::vector<std::pair<VertexId, VertexId>>& deleted,
       std::uint64_t* pops);
-  void certify_epoch(std::span<const VertexId> dirty_seeds,
+  void certify_epoch(const Graph& snap, std::span<const VertexId> dirty_seeds,
                      std::span<const VertexId> old_set, bool full,
                      BatchReport& report);
   void write_journal();
-  void publish_snapshot();
+  void publish_snapshot(Graph graph);
 
   ServiceConfig config_;
   DynamicGraph graph_;

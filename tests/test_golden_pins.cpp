@@ -3,7 +3,8 @@
 // metrics ledger on small seeded graphs. Any change to the per-machine
 // estimator partials, the allreduce summation order, the argmax tie-break,
 // or the chunk schedule moves at least one of these values. A direct
-// derand_mark pin on a degree-128 graph covers target lists longer than 64.
+// derand_mark pin on a degree-128 graph covers target lists longer than 64,
+// and a gather-only det_ruling pin (phases = 0) covers the local solve.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,6 +80,30 @@ TEST(GoldenPins, DetRulingMpc) {
     opt.chunk_bits = c.chunk_bits;
     const RulingSetResult r = det_ruling_set_mpc(c.graph, config_for(), opt);
     ASSERT_GE(r.phases, 1u) << c.label;  // the marking step actually ran
+    expect_ruling_pin(c.label, r, c.pin);
+  }
+}
+
+// A budget above 2m + 2n skips marking: the whole graph is gathered onto
+// machine 0 in one round and solved there. Pins the local CSR build of
+// gather_and_mis on the identity-relabel path every phases=0 run takes.
+TEST(GoldenPins, DetRulingMpcGatherOnly) {
+  struct Case {
+    const char* label;
+    Graph graph;
+    Pin pin;
+  };
+  const std::vector<Case> cases = {
+      {"gnp2000", gen::gnp(2000, 0.004, 9),
+       {13993963152689346855u, 0, 0, {6, 24, 16664, 3117, 8981, 17440}}},
+      {"power_law1500", gen::power_law(1500, 2.5, 6.0, 31),
+       {3109546487114714164u, 0, 0, {6, 24, 12017, 1899, 5576, 10335}}},
+  };
+  for (const Case& c : cases) {
+    DetRulingOptions opt;
+    opt.gather_budget_words = 1 << 20;
+    const RulingSetResult r = det_ruling_set_mpc(c.graph, config_for(), opt);
+    ASSERT_EQ(r.phases, 0u) << c.label;  // gathered without marking
     expect_ruling_pin(c.label, r, c.pin);
   }
 }
