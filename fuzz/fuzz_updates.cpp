@@ -45,7 +45,7 @@ void fuzz_parser(const std::uint8_t* data, std::size_t size) {
         if (update.u == update.v || update.u >= bound || update.v >= bound) {
           __builtin_trap();  // postcondition violation IS the crash
         }
-        sink += update.u + update.v;
+        sink = sink + update.u + update.v;
       }
     }
     (void)sink;
@@ -97,7 +97,7 @@ void fuzz_ingest(const std::uint8_t* data, std::size_t size) {
           update.v >= cfg.num_vertices) {
         __builtin_trap();  // only validated batches may merge
       }
-      sink += update.u + update.v;
+      sink = sink + update.u + update.v;
     }
   }
   (void)sink;

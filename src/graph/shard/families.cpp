@@ -61,6 +61,17 @@ struct Scrambler {
   }
 };
 
+// Integer form of `Rng::uniform() < t`. uniform() is exactly k * 2^-53 for
+// the 53-bit draw k = next() >> 11, and t * 2^53 is exact in double, so the
+// test holds iff k < ceil(t * 2^53). Clamping to [0, 2^53] keeps weights
+// outside [0, 1] exact too; NaN, which no draw is below, maps to 0.
+std::uint64_t draw_threshold(double t) {
+  const double scaled = t * 0x1.0p53;
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= 0x1.0p53) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(scaled));
+}
+
 class KroneckerSource final : public ShardedSource {
  public:
   KroneckerSource(const ShardSpec& spec, std::uint32_t num_shards)
@@ -81,8 +92,17 @@ class KroneckerSource final : public ShardedSource {
     }
     const std::uint64_t lo = range_start(edges_, shards_, s);
     const std::uint64_t hi = range_start(edges_, shards_, s + 1);
-    const double ab = spec_.a + spec_.b;
-    const double abc = ab + spec_.c;
+    // A level's quadrant is the first of a, a+b, a+b+c that its uniform
+    // draw is below (3 if none): 0 = (u 0, v 0), 1 = (0, 1), 2 = (1, 0),
+    // 3 = (1, 1). As integer thresholds made monotone by a running max (so
+    // a band the chain can never reach stays empty), u's bit is k >= t_ab
+    // and v's bit is the parity of the thresholds k has reached — no
+    // data-dependent branch, and the same draws as the compare chain.
+    const std::uint64_t t_a = draw_threshold(spec_.a);
+    const std::uint64_t t_ab =
+        std::max(t_a, draw_threshold(spec_.a + spec_.b));
+    const std::uint64_t t_abc =
+        std::max(t_ab, draw_threshold(spec_.a + spec_.b + spec_.c));
     EdgeBatcher batch(sink);
     for (std::uint64_t i = lo; i < hi; ++i) {
       // Edge i is a pure function of (seed, i): its own Rng stream drives
@@ -91,10 +111,11 @@ class KroneckerSource final : public ShardedSource {
       std::uint64_t u = 0;
       std::uint64_t v = 0;
       for (std::uint32_t level = 0; level < spec_.scale; ++level) {
-        const double p = rng.uniform();
-        const int quadrant = p < spec_.a ? 0 : p < ab ? 1 : p < abc ? 2 : 3;
-        u = (u << 1) | static_cast<std::uint64_t>(quadrant >> 1);
-        v = (v << 1) | static_cast<std::uint64_t>(quadrant & 1);
+        const std::uint64_t k = rng.next() >> 11;
+        const std::uint64_t ge_ab = k >= t_ab;
+        u = (u << 1) | ge_ab;
+        v = (v << 1) | (static_cast<std::uint64_t>(k >= t_a) ^ ge_ab ^
+                        static_cast<std::uint64_t>(k >= t_abc));
       }
       if (scramble_) {
         u = scrambler_(u);
@@ -102,6 +123,7 @@ class KroneckerSource final : public ShardedSource {
       }
       batch.push(static_cast<VertexId>(u), static_cast<VertexId>(v));
     }
+    batch.flush();
   }
 
  private:
@@ -208,6 +230,7 @@ class Geometric3dSource final : public ShardedSource {
         }
       }
     }
+    batch.flush();
   }
 
  private:

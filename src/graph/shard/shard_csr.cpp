@@ -91,20 +91,42 @@ ShardCsr build_shard_csr(const ShardedSource& src,
     return csr;
   }
 
+  // In RAM, every shard is streamed once into its own raw edge buffer and
+  // passes A and B read those buffers. A spilled build is the out-of-core
+  // path, which must not hold the edge list, so it streams the shards once
+  // per pass instead.
+  const bool spilled = !options.spill_dir.empty();
+  std::vector<std::vector<Edge>> shard_edges;
+  if (!spilled) {
+    shard_edges.reserve(shards);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      shard_edges.push_back(collect_shard(src, s));
+    }
+  }
+  const auto run_pass = [&](EdgeSink& sink) {
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      if (spilled) {
+        src.stream_shard(s, sink);
+      } else {
+        sink.consume(shard_edges[s]);
+      }
+    }
+  };
+
   // Pass A: raw symmetric degree of every vertex (duplicates included).
+  // It validates every endpoint before pass B writes anything.
   {
     std::vector<std::uint64_t> deg(n, 0);
     CountSink count;
     count.deg = &deg;
     count.n = n;
-    for (std::uint32_t s = 0; s < shards; ++s) src.stream_shard(s, count);
+    run_pass(count);
     for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] = deg[v];
   }
   for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] += csr.offsets_[v];
   const std::uint64_t raw_words = csr.offsets_[n];
 
   // Adjacency storage: RAM vector or memory-mapped spill.
-  const bool spilled = !options.spill_dir.empty();
   if (spilled) {
     csr.spill_ =
         ShardSpill::create(options.spill_dir, raw_words * sizeof(VertexId));
@@ -123,8 +145,10 @@ ShardCsr build_shard_csr(const ShardedSource& src,
     scatter.cursor = &cursor;
     scatter.spill = spilled ? &csr.spill_ : nullptr;
     scatter.stride = std::max<std::uint64_t>(options.evict_stride_edges, 1);
-    for (std::uint32_t s = 0; s < shards; ++s) src.stream_shard(s, scatter);
+    run_pass(scatter);
   }
+  // The raw edges are no longer needed; free them before the sort + dedup.
+  std::vector<std::vector<Edge>>().swap(shard_edges);
 
   // Pass C: per-vertex sort + dedup, compacting in place. The write head w
   // never passes the read head (deduped words <= raw words at every

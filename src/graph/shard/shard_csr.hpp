@@ -1,19 +1,23 @@
 // Out-of-core CSR ingest for sharded sources.
 //
-// build_shard_csr streams every shard of a ShardedSource twice (degree
-// count, then scattered adjacency writes) and finishes with an in-place
-// per-vertex sort + dedup pass, producing exactly the CSR Graph::from_edges
-// would build from the same raw edges: self-loops dropped, symmetrized,
-// neighbor lists sorted and duplicate-free. That exactness is what makes a
-// sharded DistGraph indistinguishable from a materialized one — identical
-// degrees mean identical storage charges, identical rounds, identical
-// metrics ledgers.
+// build_shard_csr counts degrees, scatters both arc directions at
+// per-vertex cursors and finishes with an in-place per-vertex sort + dedup
+// pass, producing exactly the CSR Graph::from_edges would build from the
+// same raw edges: self-loops dropped, symmetrized, neighbor lists sorted and
+// duplicate-free. That exactness is what makes a sharded DistGraph
+// indistinguishable from a materialized one — identical degrees mean
+// identical storage charges, identical rounds, identical metrics ledgers.
+//
+// In RAM, every shard is streamed once into its own raw edge buffer (8 bytes
+// per raw edge); the count and scatter passes read those buffers, and they
+// are freed before the sort + dedup.
 //
 // With a spill directory, the adjacency array lives in a memory-mapped
-// ShardSpill instead of RAM, and the build passes evict dirty pages on a
-// cadence, so peak RSS during ingest is the offsets array plus the eviction
-// window — not the edge list. The round hot path reads the mapping in place
-// (no allocation); evicted pages fault back in on demand.
+// ShardSpill instead of RAM, no edge buffer is held, and every shard is
+// streamed twice (count, then scatter). The build passes evict dirty pages
+// on a cadence, so peak RSS during ingest is the offsets array plus the
+// eviction window — not the edge list. The round hot path reads the mapping
+// in place (no allocation); evicted pages fault back in on demand.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +82,9 @@ class ShardCsr {
 };
 
 // Streams all shards of `src` into a CSR. Endpoints >= num_vertices() are
-// rejected with rsets::Error(kVertexIdOverflow) — the stream contract makes
-// them a generator bug, not a recoverable condition.
+// rejected with rsets::Error(kVertexIdOverflow) before any adjacency write
+// — the stream contract makes them a generator bug, not a recoverable
+// condition.
 ShardCsr build_shard_csr(const ShardedSource& src,
                          const IngestOptions& options = {});
 

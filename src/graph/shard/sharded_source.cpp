@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -200,20 +201,23 @@ ShardSpec parse_shard_spec(const std::string& text,
   return spec;
 }
 
-Graph materialize(const ShardSpec& spec) {
+std::vector<Edge> collect_shard(const ShardedSource& src, std::uint32_t s) {
   struct Collector final : EdgeSink {
     std::vector<Edge> edges;
     void consume(std::span<const Edge> batch) override {
       edges.insert(edges.end(), batch.begin(), batch.end());
     }
   };
-  const std::unique_ptr<ShardedSource> src = make_sharded_source(spec, 1);
   Collector sink;
-  if (const std::uint64_t raw = src->raw_edges(); raw != 0) {
-    sink.edges.reserve(raw);
-  }
-  src->stream_shard(0, sink);
-  return Graph::from_edges(src->num_vertices(), sink.edges);
+  const std::uint32_t shards = src.num_shards();
+  sink.edges.reserve((src.raw_edges() + shards - 1) / shards);
+  src.stream_shard(s, sink);
+  return std::move(sink.edges);
+}
+
+Graph materialize(const ShardSpec& spec) {
+  const std::unique_ptr<ShardedSource> src = make_sharded_source(spec, 1);
+  return Graph::from_edges(src->num_vertices(), collect_shard(*src, 0));
 }
 
 }  // namespace rsets::shard

@@ -107,6 +107,11 @@ class ShardedSource {
 std::unique_ptr<ShardedSource> make_sharded_source(const ShardSpec& spec,
                                                    std::uint32_t num_shards);
 
+// Shard s's raw edges in emission order, reserved at its balanced share of
+// raw_edges() (enough for every Kronecker shard, whose sizes differ by at
+// most one).
+std::vector<Edge> collect_shard(const ShardedSource& src, std::uint32_t s);
+
 // The global reference: streams the 1-shard split of `spec` into
 // Graph::from_edges. This is what "bit-identical to the global generator"
 // means for the streaming families — the validator and the determinism
@@ -114,7 +119,10 @@ std::unique_ptr<ShardedSource> make_sharded_source(const ShardSpec& spec,
 Graph materialize(const ShardSpec& spec);
 
 // Internal helper for implementing stream_shard: buffers edges and flushes
-// them to the sink in batches. Flushes the tail on destruction.
+// them to the sink in batches. The caller flushes the tail explicitly; the
+// destructor does not, because a sink may throw (an out-of-range endpoint
+// is rsets::Error(kVertexIdOverflow)) and a throwing destructor would
+// terminate the process instead of unwinding.
 class EdgeBatcher {
  public:
   explicit EdgeBatcher(EdgeSink& sink, std::size_t capacity = 1 << 16)
@@ -122,7 +130,6 @@ class EdgeBatcher {
     buffer_.reserve(capacity);
     capacity_ = capacity;
   }
-  ~EdgeBatcher() { flush(); }
   EdgeBatcher(const EdgeBatcher&) = delete;
   EdgeBatcher& operator=(const EdgeBatcher&) = delete;
 

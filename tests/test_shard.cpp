@@ -1,10 +1,14 @@
-// Sharded streaming generation: parse errors, shard-union determinism,
-// out-of-core ingest parity, sharded-vs-materialized run equivalence, and
-// the cross-shard validator (green on correct sources, red on a broken one).
+// Sharded streaming generation: parse errors, shard-union determinism, the
+// Kronecker descent against its compare-chain oracle and a golden stream
+// pin, out-of-core ingest parity and endpoint rejection,
+// sharded-vs-materialized run equivalence, and the cross-shard validator
+// (green on correct sources, red on a broken one).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "graph/shard/validator.hpp"
 #include "mpc/fault/fault.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace rsets::shard {
 namespace {
@@ -182,6 +187,174 @@ TEST(ShardDeterminism, AdvertisedRawEdgesMatchesStream) {
   EXPECT_EQ(make_sharded_source(geometric_spec(), 4)->raw_edges(), 0u);
 }
 
+// ------------------------------------------------ Kronecker descent oracle
+
+// The reference descent, kept verbatim from the original double-compare
+// implementation: edge i draws one uniform per level from its own stream
+// and picks the quadrant with a compare chain against a, a+b, a+b+c;
+// graph500 then scrambles both endpoints. Shard s of `shards` covers the
+// balanced contiguous index range [start(s), start(s+1)).
+std::vector<Edge> oracle_kronecker_shard(const ShardSpec& spec,
+                                         std::uint32_t shards,
+                                         std::uint32_t s) {
+  const std::uint64_t total = std::uint64_t{spec.edgefactor} << spec.scale;
+  const auto start = [&](std::uint32_t k) {
+    return total / shards * k + std::min<std::uint64_t>(k, total % shards);
+  };
+  const std::uint64_t mask = (std::uint64_t{1} << spec.scale) - 1;
+  std::uint64_t sm = spec.seed ^ 0x5ca1ab1edeadbeefULL;
+  const std::uint64_t mul0 = splitmix64(sm) | 1;
+  const std::uint64_t mul1 = splitmix64(sm) | 1;
+  const std::uint32_t shift = std::max<std::uint32_t>(spec.scale / 2, 1);
+  const auto scramble = [&](std::uint64_t v) {
+    v = (v * mul0) & mask;
+    v ^= v >> shift;
+    v = (v * mul1) & mask;
+    v ^= v >> shift;
+    return v;
+  };
+  const double ab = spec.a + spec.b;
+  const double abc = ab + spec.c;
+  std::vector<Edge> out;
+  for (std::uint64_t i = start(s); i < start(s + 1); ++i) {
+    Rng rng = Rng::for_stream(spec.seed, i);
+    std::uint64_t u = 0;
+    std::uint64_t v = 0;
+    for (std::uint32_t level = 0; level < spec.scale; ++level) {
+      const double p = rng.uniform();
+      const int quadrant = p < spec.a ? 0 : p < ab ? 1 : p < abc ? 2 : 3;
+      u = (u << 1) | static_cast<std::uint64_t>(quadrant >> 1);
+      v = (v << 1) | static_cast<std::uint64_t>(quadrant & 1);
+    }
+    if (spec.family == ShardFamily::kGraph500) {
+      u = scramble(u);
+      v = scramble(v);
+    }
+    out.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
+  }
+  return out;
+}
+
+void expect_descent_matches_oracle(const ShardSpec& spec) {
+  for (const std::uint32_t shards : {1u, 3u, 8u}) {
+    const auto src = make_sharded_source(spec, shards);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      EXPECT_TRUE(collect_shard(*src, s) ==
+                  oracle_kronecker_shard(spec, shards, s))
+          << spec.to_string() << " a=" << spec.a << " b=" << spec.b
+          << " c=" << spec.c << " shard " << s << "/" << shards;
+    }
+  }
+}
+
+ShardSpec rmat_weights(double a, double b, double c, std::uint64_t seed = 3) {
+  ShardSpec spec = rmat_spec();
+  spec.scale = 8;
+  spec.a = a;
+  spec.b = b;
+  spec.c = c;
+  spec.seed = seed;
+  return spec;
+}
+
+TEST(KroneckerDescent, MatchesDoubleCompareOracle) {
+  for (const std::uint32_t scale : {1u, 2u, 7u, 12u}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
+      ShardSpec g500 = graph500_spec(scale, scale < 3 ? 1 : 8);
+      g500.seed = seed;
+      expect_descent_matches_oracle(g500);
+      ShardSpec rmat = rmat_spec();
+      rmat.scale = scale;
+      rmat.seed = seed;
+      expect_descent_matches_oracle(rmat);
+    }
+  }
+}
+
+TEST(KroneckerDescent, ThresholdEdgeCasesMatchOracle) {
+  expect_descent_matches_oracle(rmat_weights(0.0, 0.3, 0.3));    // a = 0
+  expect_descent_matches_oracle(rmat_weights(1.0, 0.0, 0.0));    // a = 1
+  expect_descent_matches_oracle(rmat_weights(0.5, 0.25, 0.25));  // sum 1
+  expect_descent_matches_oracle(rmat_weights(0.57, 0.19, 0.24));
+  expect_descent_matches_oracle(rmat_weights(0.0, 0.0, 0.0));    // all d
+  expect_descent_matches_oracle(rmat_weights(0.0, 0.0, 1.0));    // all c
+
+  // Weights on the 2^-53 grid placed exactly on real draws: the level-0
+  // draws of edges 0, 1 and 2 land on a, a+b and a+b+c respectively, so
+  // every threshold sees an exact `p == t` tie.
+  for (const std::uint64_t seed : {3ull, 11ull, 1234ull}) {
+    std::array<std::uint64_t, 3> k{};
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      k[i] = Rng::for_stream(seed, i).next() >> 11;
+    }
+    std::sort(k.begin(), k.end());
+    const double a = static_cast<double>(k[0]) * 0x1.0p-53;
+    const double b = static_cast<double>(k[1] - k[0]) * 0x1.0p-53;
+    const double c = static_cast<double>(k[2] - k[1]) * 0x1.0p-53;
+    ASSERT_EQ(a + b, static_cast<double>(k[1]) * 0x1.0p-53);
+    ASSERT_EQ(a + b + c, static_cast<double>(k[2]) * 0x1.0p-53);
+    expect_descent_matches_oracle(rmat_weights(a, b, c, seed));
+    // One grid step either side of each tie.
+    expect_descent_matches_oracle(rmat_weights(a + 0x1.0p-53, b, c, seed));
+    expect_descent_matches_oracle(rmat_weights(a - 0x1.0p-53, b, c, seed));
+  }
+  expect_descent_matches_oracle(rmat_weights(0x1.0p-53, 0x1.0p-53, 0.5));
+
+  // Out-of-range weights set directly on the spec (the parser rejects
+  // them): negative, above one, non-monotone running sums, NaN, infinity.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_descent_matches_oracle(rmat_weights(-0.5, 1.5, 0.3));
+  expect_descent_matches_oracle(rmat_weights(1.5, 0.2, 0.2));
+  expect_descent_matches_oracle(rmat_weights(0.6, -0.3, 0.5));
+  expect_descent_matches_oracle(rmat_weights(0.3, 0.4, -0.5));
+  expect_descent_matches_oracle(rmat_weights(0.7, 0.7, 0.7));
+  expect_descent_matches_oracle(rmat_weights(nan, 0.3, 0.3));
+  expect_descent_matches_oracle(rmat_weights(0.2, nan, 0.3));
+  expect_descent_matches_oracle(rmat_weights(-inf, inf, -inf));
+  expect_descent_matches_oracle(rmat_weights(-0.0, 0.25, 0.25));
+}
+
+// 64-bit FNV-1a over the emission sequence of every shard in order, each
+// endpoint as 4 little-endian bytes.
+std::uint64_t stream_fnv(const ShardedSource& src) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](VertexId x) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint32_t s = 0; s < src.num_shards(); ++s) {
+    for (const Edge& e : collect_shard(src, s)) {
+      mix(e.u);
+      mix(e.v);
+    }
+  }
+  return h;
+}
+
+// Golden pin on the streamed edge sequence, recorded from the original
+// double-compare descent. Kronecker shards are contiguous edge-index
+// ranges, so the concatenated sequence (and its hash) is the same at every
+// shard count. A descent that changes the generated graph fails here even
+// when every downstream invariant still holds.
+TEST(KroneckerDescent, GoldenStreamPin) {
+  ShardSpec wide = graph500_spec(12, 16);
+  wide.seed = 3;
+  const std::vector<std::pair<ShardSpec, std::uint64_t>> pins = {
+      {graph500_spec(), 0x30f2216b364d5dbbULL},
+      {rmat_spec(), 0xc2d8bc0928f3534cULL},
+      {wide, 0x0aac244486f56676ULL},
+  };
+  for (const auto& [spec, want] : pins) {
+    for (const std::uint32_t shards : {1u, 3u, 8u}) {
+      EXPECT_EQ(stream_fnv(*make_sharded_source(spec, shards)), want)
+          << spec.to_string() << " at " << shards << " shards";
+    }
+  }
+}
+
 // --------------------------------------------------------- CSR ingestion
 
 void expect_csr_equals_graph(const ShardCsr& csr, const Graph& g) {
@@ -220,6 +393,53 @@ TEST(ShardCsrTest, SpilledBuildIsBitIdenticalToRam) {
     const auto b = spilled.neighbors(v);
     ASSERT_EQ(a.size(), b.size()) << v;
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << v;
+  }
+}
+
+// A source that breaks the range contract: its last shard emits one edge
+// with an endpoint >= n after a run of valid edges.
+class OutOfRangeSource : public ShardedSource {
+ public:
+  explicit OutOfRangeSource(Edge bad) : bad_(bad) {}
+
+  const ShardSpec& spec() const override { return spec_; }
+  VertexId num_vertices() const override { return kN; }
+  std::uint32_t num_shards() const override { return 2; }
+  std::uint64_t raw_edges() const override { return 4; }
+
+  void stream_shard(std::uint32_t s, EdgeSink& sink) const override {
+    EdgeBatcher batch(sink);
+    if (s == 0) {
+      batch.push(0, 1);
+      batch.push(2, 3);
+    } else {
+      batch.push(4, 5);
+      batch.push(bad_.u, bad_.v);
+    }
+    batch.flush();
+  }
+
+  static constexpr VertexId kN = 16;
+
+ private:
+  ShardSpec spec_;
+  Edge bad_;
+};
+
+TEST(ShardCsrTest, RejectsEndpointOutOfRange) {
+  IngestOptions spill;
+  spill.spill_dir = ::testing::TempDir();
+  const VertexId n = OutOfRangeSource::kN;
+  for (const Edge bad : {Edge{n, 0}, Edge{1, n}, Edge{n + 7, n + 7}}) {
+    for (const IngestOptions& options : {IngestOptions{}, spill}) {
+      try {
+        build_shard_csr(OutOfRangeSource(bad), options);
+        FAIL() << "accepted endpoint " << std::max(bad.u, bad.v)
+               << (options.spill_dir.empty() ? " in RAM" : " spilled");
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kVertexIdOverflow);
+      }
+    }
   }
 }
 

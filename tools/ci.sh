@@ -35,7 +35,8 @@
 #      canonical per-producer alignment.
 #   7. Sharded-generation gate: the cross-shard validator plus a
 #      10^7-edge out-of-core smoke run (sharded graph500, spill-backed,
-#      certified in-model) through rsets_cli --sharded.
+#      certified in-model) through rsets_cli --sharded, then the same run
+#      ingested in RAM, whose output must match line for line.
 #   8. Bench baseline gate: checked-in bench/baselines/*.json must carry
 #      release stamps on both build-type fields (the E12 shard_ooc, E13
 #      serve_churn, and E14 serve_concurrent baselines must exist, the
@@ -107,7 +108,7 @@ timeout 900 "$repo_root/build/tools/chaos_soak" --churn --producers=4 \
     --schedules=100 --seed=1 --journal_dir="$cchurn_tmp"
 rm -rf "$cchurn_tmp"
 
-echo "=== ci: sharded generation (validator + 10^7-edge out-of-core smoke) ==="
+echo "=== ci: sharded generation (validator + 10^7-edge spilled and in-RAM smoke) ==="
 # graph500 scale=20, edgefactor=16: 2^24 ~ 1.7e7 raw edges, streamed and
 # spilled — never materialized. The run must validate its shards, complete
 # det_ruling, and certify in-model (exit 0 is the whole contract).
@@ -118,6 +119,15 @@ shard_tmp=$(mktemp -d)
     --algorithm=det_ruling_mpc --beta=2 > "$shard_tmp/out.txt"
 grep -q '^shards_valid=1$' "$shard_tmp/out.txt"
 grep -q '^certified=1$' "$shard_tmp/out.txt"
+# The same input ingested in RAM (each shard streamed once into a buffer)
+# must print exactly what the spilled run printed, RSS aside.
+"$repo_root/build/tools/rsets_cli" \
+    --sharded=graph500:scale=20,edgefactor=16 --machines=8 \
+    --memory_words=67108864 --validate-shards \
+    --algorithm=det_ruling_mpc --beta=2 > "$shard_tmp/ram.txt"
+grep -v '^peak_rss_kb=' "$shard_tmp/out.txt" > "$shard_tmp/out.cmp"
+grep -v '^peak_rss_kb=' "$shard_tmp/ram.txt" > "$shard_tmp/ram.cmp"
+diff "$shard_tmp/out.cmp" "$shard_tmp/ram.cmp"
 rm -rf "$shard_tmp"
 
 echo "=== ci: bench baseline (release-recorded, within tolerance) ==="
