@@ -26,11 +26,6 @@ RulingSetResult det_luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg,
                                  const DetLubyOptions& options) {
   mpc::Simulator sim(cfg);
   mpc::DistGraph dg(sim, g);
-  return det_luby_mis_mpc(sim, dg, options);
-}
-
-RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
-                                 const DetLubyOptions& options) {
   check_chunk_bits(options.chunk_bits, "det_luby");
   const VertexId n = dg.num_vertices();
   const MachineId m_count = sim.num_machines();

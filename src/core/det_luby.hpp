@@ -18,11 +18,6 @@
 
 #include "core/ruling_set.hpp"
 
-namespace rsets::mpc {
-class DistGraph;
-class Simulator;
-}  // namespace rsets::mpc
-
 namespace rsets {
 
 struct DetLubyOptions {
@@ -30,11 +25,6 @@ struct DetLubyOptions {
 };
 
 RulingSetResult det_luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg,
-                                 const DetLubyOptions& options = {});
-
-// Same algorithm on an already-loaded distributed graph (sharded ingestion
-// path); the materialized overload wraps this one.
-RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
                                  const DetLubyOptions& options = {});
 
 }  // namespace rsets

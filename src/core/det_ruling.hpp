@@ -42,11 +42,9 @@ struct DetRulingOptions {
 RulingSetResult det_ruling_set_mpc(const Graph& g, const mpc::MpcConfig& cfg,
                                    const DetRulingOptions& options = {});
 
-// Runs the phase loop on an already-loaded distributed graph. This is how
-// sharded inputs execute the algorithm: the caller ingests a ShardedSource
-// into `dg` (never materializing a global Graph) and hands it over. The
-// materialized overload above is a thin wrapper around this one, so both
-// paths execute byte-identically given the same CSR.
+// Runs the phase loop on an already-loaded distributed graph; the overload
+// above is a thin wrapper around this one. perfbench/ calls this form
+// directly; its sources change only together with the benchmark definition.
 RulingSetResult det_ruling_set_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
                                    const DetRulingOptions& options = {});
 

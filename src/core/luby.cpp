@@ -17,10 +17,6 @@ using mpc::Word;
 RulingSetResult luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg) {
   mpc::Simulator sim(cfg);
   mpc::DistGraph dg(sim, g);
-  return luby_mis_mpc(sim, dg);
-}
-
-RulingSetResult luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg) {
   const VertexId n = dg.num_vertices();
   const MachineId m_count = sim.num_machines();
 

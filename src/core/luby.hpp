@@ -10,17 +10,8 @@
 
 #include "core/ruling_set.hpp"
 
-namespace rsets::mpc {
-class DistGraph;
-class Simulator;
-}  // namespace rsets::mpc
-
 namespace rsets {
 
 RulingSetResult luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg);
-
-// Same algorithm on an already-loaded distributed graph (sharded ingestion
-// path); the materialized overload wraps this one.
-RulingSetResult luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg);
 
 }  // namespace rsets

@@ -12,14 +12,14 @@
 #include "core/greedy.hpp"
 #include "core/luby.hpp"
 #include "core/sample_gather.hpp"
-#include "graph/shard/shard_csr.hpp"
-#include "mpc/dist_graph.hpp"
 
 namespace rsets {
 namespace {
 
 // max_beta == 0 means "any beta >= min_beta" (see AlgorithmInfo).
 constexpr std::uint32_t kAnyBeta = 0;
+
+}  // namespace
 
 void check_beta(const AlgorithmInfo& info, std::uint32_t beta) {
   const bool ok = beta >= info.min_beta &&
@@ -37,8 +37,6 @@ void check_beta(const AlgorithmInfo& info, std::uint32_t beta) {
   throw std::invalid_argument(std::string(info.name) + " requires " + expect +
                               ", got beta = " + std::to_string(beta));
 }
-
-}  // namespace
 
 const std::vector<AlgorithmInfo>& algorithm_registry() {
   static const std::vector<AlgorithmInfo> registry = {
@@ -151,41 +149,6 @@ RulingSetResult compute_ruling_set(const Graph& g,
                                               options.congest);
   }
   throw std::invalid_argument("compute_ruling_set: unknown algorithm");
-}
-
-RulingSetResult compute_ruling_set_sharded(const shard::ShardedSource& src,
-                                           const shard::IngestOptions& ingest,
-                                           const RulingSetOptions& options) {
-  const AlgorithmInfo& info = algorithm_info(options.algorithm);
-  check_beta(info, options.beta);
-  // One simulator + one sharded ingestion, then the same driver overloads
-  // the materialized wrappers call — so both paths share every instruction
-  // past the DistGraph constructor.
-  mpc::Simulator sim(options.mpc);
-  mpc::DistGraph dg(sim, src, ingest);
-  switch (options.algorithm) {
-    case Algorithm::kLubyMpc:
-      return luby_mis_mpc(sim, dg);
-    case Algorithm::kDetLubyMpc: {
-      DetLubyOptions det;
-      det.chunk_bits = options.chunk_bits;
-      return det_luby_mis_mpc(sim, dg, det);
-    }
-    case Algorithm::kDetRulingMpc: {
-      DetRulingOptions det;
-      det.beta = options.beta;
-      det.gather_budget_words = options.gather_budget_words;
-      det.chunk_bits = options.chunk_bits;
-      det.max_mark_steps_per_phase = options.max_mark_steps_per_phase;
-      return det_ruling_set_mpc(sim, dg, det);
-    }
-    default:
-      throw std::invalid_argument(
-          "compute_ruling_set_sharded: algorithm '" +
-          std::string(info.name) +
-          "' does not support sharded ingestion (supported: luby_mpc, "
-          "det_luby_mpc, det_ruling_mpc)");
-  }
 }
 
 }  // namespace rsets

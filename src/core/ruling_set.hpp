@@ -18,11 +18,6 @@
 #include "graph/graph.hpp"
 #include "mpc/message.hpp"
 
-namespace rsets::shard {
-class ShardedSource;
-struct IngestOptions;
-}  // namespace rsets::shard
-
 namespace rsets {
 
 enum class Algorithm {
@@ -73,6 +68,11 @@ std::optional<Algorithm> algorithm_from_name(std::string_view name);
 
 // Canonical names, in Algorithm enum order (for --help and error messages).
 std::vector<std::string_view> algorithm_names();
+
+// Throws std::invalid_argument unless beta is in [info.min_beta,
+// info.max_beta] (max_beta == 0: no upper bound). compute_ruling_set calls
+// it; rsets_cli --sharded calls it before streaming any shard.
+void check_beta(const AlgorithmInfo& info, std::uint32_t beta);
 
 struct RulingSetOptions {
   Algorithm algorithm = Algorithm::kDetRulingMpc;
@@ -125,21 +125,9 @@ struct RulingSetResult {
 // MIS algorithms require beta == 1, the 2-ruling machinery beta >= 2 (MPC)
 // or == 2 (CONGEST), beta_ruling_congest any beta >= 1, and aglp_congest
 // ignores the requested beta (its guarantee is ceil(log2 n), reported in
-// RulingSetResult::beta).
+// RulingSetResult::beta). A sharded input runs through this same call, on
+// the Graph shard::build_shard_csr returns (in RAM or spilled).
 RulingSetResult compute_ruling_set(const Graph& g,
                                    const RulingSetOptions& options);
-
-// Runs the selected MPC algorithm on a sharded input: each simulated
-// machine generates its own edge shard and the input is ingested directly
-// into the distributed store (optionally spilling to disk, see
-// shard::IngestOptions) — no global Graph is ever materialized, so problem
-// size is bounded by disk, not by a single process's edge list. Supported
-// algorithms: kDetRulingMpc, kDetLubyMpc, kLubyMpc (the vertex-centric MPC
-// drivers); anything else throws std::invalid_argument. Results and the
-// full metrics ledger are bit-identical to compute_ruling_set on the
-// materialized equivalent of the same source.
-RulingSetResult compute_ruling_set_sharded(const shard::ShardedSource& src,
-                                           const shard::IngestOptions& ingest,
-                                           const RulingSetOptions& options);
 
 }  // namespace rsets

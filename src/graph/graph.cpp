@@ -6,13 +6,50 @@
 
 namespace rsets {
 
-Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
+Graph::Graph(const Graph& other)
+    : offsets_(other.offsets_),
+      ram_(other.ram_),
+      mapping_(other.mapping_),
+      adj_(mapping_ ? other.adj_ : ram_.data()) {}
+
+// Member-wise, so the vectors reuse their capacity as the defaulted copy
+// did; self-assignment is safe.
+Graph& Graph::operator=(const Graph& other) {
+  offsets_ = other.offsets_;
+  ram_ = other.ram_;
+  mapping_ = other.mapping_;
+  adj_ = mapping_ ? other.adj_ : ram_.data();
+  return *this;
+}
+
+bool operator==(const Graph& a, const Graph& b) {
+  return a.offsets_ == b.offsets_ &&
+         std::ranges::equal(a.adjacency(), b.adjacency());
+}
+
+Graph Graph::in_ram(std::vector<std::uint64_t> offsets,
+                    std::vector<VertexId> adjacency) {
   Graph g;
-  auto& offsets = g.offsets_;
-  auto& adj = g.adjacency_;
+  g.offsets_ = std::move(offsets);
+  g.ram_ = std::move(adjacency);
+  g.adj_ = g.ram_.data();
+  return g;
+}
+
+Graph Graph::mapped(std::vector<std::uint64_t> offsets,
+                    std::shared_ptr<const void> mapping,
+                    const VertexId* adjacency) {
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.mapping_ = std::move(mapping);
+  g.adj_ = adjacency;
+  return g;
+}
+
+Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
   // Count each vertex's raw arcs into offsets[v], then prefix-sum so that
   // offsets[v] is the end of v's bucket.
-  offsets.assign(std::size_t{num_vertices} + 1, 0);
+  std::vector<std::uint64_t> offsets(std::size_t{num_vertices} + 1, 0);
   for (const Edge& e : edges) {
     if (e.u == e.v) continue;
     if (e.u >= num_vertices || e.v >= num_vertices) {
@@ -26,7 +63,7 @@ Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
 
   // Scatter both directions, filling each bucket from its end; afterwards
   // offsets[v] is the start of v's bucket.
-  adj.resize(raw);
+  std::vector<VertexId> adj(raw);
   for (const Edge& e : edges) {
     if (e.u == e.v) continue;
     adj[--offsets[e.u]] = e.v;
@@ -51,7 +88,7 @@ Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
     adj.resize(w);
     adj.shrink_to_fit();
   }
-  return g;
+  return in_ram(std::move(offsets), std::move(adj));
 }
 
 namespace {
@@ -80,20 +117,19 @@ void check_row(const char* builder, VertexId v, VertexId n,
 Graph Graph::from_sorted_adjacency(
     const std::vector<std::vector<VertexId>>& adjacency) {
   const VertexId n = static_cast<VertexId>(adjacency.size());
-  Graph g;
-  g.offsets_.assign(std::size_t{n} + 1, 0);
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
   std::uint64_t arcs = 0;
   for (VertexId v = 0; v < n; ++v) {
     arcs += adjacency[v].size();
-    g.offsets_[v + 1] = arcs;
+    offsets[v + 1] = arcs;
   }
-  g.adjacency_.reserve(arcs);
+  std::vector<VertexId> adj;
+  adj.reserve(arcs);
   for (VertexId v = 0; v < n; ++v) {
     check_row("Graph::from_sorted_adjacency", v, n, adjacency[v]);
-    g.adjacency_.insert(g.adjacency_.end(), adjacency[v].begin(),
-                        adjacency[v].end());
+    adj.insert(adj.end(), adjacency[v].begin(), adjacency[v].end());
   }
-  return g;
+  return in_ram(std::move(offsets), std::move(adj));
 }
 
 Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
@@ -103,9 +139,7 @@ Graph Graph::from_csr(std::vector<std::uint64_t> offsets,
       !std::is_sorted(offsets.begin(), offsets.end())) {
     throw std::invalid_argument("Graph::from_csr: malformed offsets");
   }
-  Graph g;
-  g.offsets_ = std::move(offsets);
-  g.adjacency_ = std::move(adjacency);
+  Graph g = in_ram(std::move(offsets), std::move(adjacency));
   const VertexId n = g.num_vertices();
   for (VertexId v = 0; v < n; ++v) {
     check_row("Graph::from_csr", v, n, g.neighbors(v));

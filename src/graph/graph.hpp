@@ -3,9 +3,15 @@
 // Vertices are dense ids [0, n). Graphs are simple: no self-loops, no
 // parallel edges; the builder deduplicates and symmetrizes. Neighbor lists
 // are sorted, so adjacency tests are O(log d) and set operations are merges.
+//
+// The offsets always live in RAM. The adjacency array lives either in a
+// vector or, for a spilled shard::build_shard_csr, in a memory-mapped spill
+// file. Copying an in-RAM Graph copies its adjacency; copies of a spilled
+// Graph share the immutable mapping, which lives until the last copy goes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -20,9 +26,22 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+class Graph;
+
+namespace shard {
+class ShardedSource;
+struct IngestOptions;
+// Defined in graph/shard/shard_csr.cpp; declared here to be a friend.
+Graph build_shard_csr(const ShardedSource& src, const IngestOptions& options);
+}  // namespace shard
+
 class Graph {
  public:
   Graph() = default;
+  Graph(const Graph& other);
+  Graph& operator=(const Graph& other);
+  Graph(Graph&&) noexcept = default;
+  Graph& operator=(Graph&&) noexcept = default;
 
   // Builds from an edge list; symmetrizes and drops duplicates. Self-loops
   // are dropped before the range check, so {7, 7} at n = 5 is ignored; any
@@ -52,11 +71,10 @@ class Graph {
   VertexId num_vertices() const {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
-  std::uint64_t num_edges() const { return adjacency_.size() / 2; }
+  std::uint64_t num_edges() const { return adjacency().size() / 2; }
 
   std::span<const VertexId> neighbors(VertexId v) const {
-    return {adjacency_.data() + offsets_[v],
-            adjacency_.data() + offsets_[v + 1]};
+    return {adj_ + offsets_[v], adj_ + offsets_[v + 1]};
   }
 
   std::uint32_t degree(VertexId v) const {
@@ -79,13 +97,30 @@ class Graph {
   // The raw CSR: offsets has n + 1 entries (empty for a default-constructed
   // Graph) and neighbors(v) is adjacency[offsets[v], offsets[v + 1]).
   std::span<const std::uint64_t> offsets() const { return offsets_; }
-  std::span<const VertexId> adjacency() const { return adjacency_; }
+  std::span<const VertexId> adjacency() const {
+    return {adj_, offsets_.empty() ? 0 : offsets_.back()};
+  }
 
-  friend bool operator==(const Graph&, const Graph&) = default;
+  // Compares contents, whatever backs the adjacency.
+  friend bool operator==(const Graph& a, const Graph& b);
 
  private:
-  std::vector<std::uint64_t> offsets_;  // size n+1
-  std::vector<VertexId> adjacency_;     // size 2m, sorted per vertex
+  friend Graph shard::build_shard_csr(const shard::ShardedSource&,
+                                      const shard::IngestOptions&);
+
+  // Adopt a CSR finished by from_edges or build_shard_csr, without
+  // check_row.
+  static Graph in_ram(std::vector<std::uint64_t> offsets,
+                      std::vector<VertexId> adjacency);
+  static Graph mapped(std::vector<std::uint64_t> offsets,
+                      std::shared_ptr<const void> mapping,
+                      const VertexId* adjacency);
+
+  std::vector<std::uint64_t> offsets_;   // size n+1
+  std::vector<VertexId> ram_;            // in-RAM adjacency; empty if mapped
+  std::shared_ptr<const void> mapping_;  // owns a spilled adjacency
+  // The adjacency, in ram_ or the mapping: 2m entries, sorted per vertex.
+  const VertexId* adj_ = nullptr;
 };
 
 // Incremental edge-list accumulator for generators.

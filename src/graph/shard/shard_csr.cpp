@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 
+#include "graph/shard/shard_spill.hpp"
 #include "util/error.hpp"
 
 namespace rsets::shard {
@@ -78,18 +81,13 @@ void validate_spill_dir(const std::string& dir) {
   unlink(buf.data());
 }
 
-ShardCsr build_shard_csr(const ShardedSource& src,
-                         const IngestOptions& options) {
+Graph build_shard_csr(const ShardedSource& src,
+                      const IngestOptions& options) {
   const VertexId n = src.num_vertices();
   const std::uint32_t shards = src.num_shards();
 
-  ShardCsr csr;
-  csr.n_ = n;
-  csr.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  if (n == 0) {
-    csr.adj_ = csr.adj_ram_.data();
-    return csr;
-  }
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  if (n == 0) return Graph::in_ram(std::move(offsets), {});
 
   // In RAM, every shard is streamed once into its own raw edge buffer and
   // passes A and B read those buffers. A spilled build is the out-of-core
@@ -121,29 +119,30 @@ ShardCsr build_shard_csr(const ShardedSource& src,
     count.deg = &deg;
     count.n = n;
     run_pass(count);
-    for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] = deg[v];
+    for (VertexId v = 0; v < n; ++v) offsets[v + 1] = deg[v];
   }
-  for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] += csr.offsets_[v];
-  const std::uint64_t raw_words = csr.offsets_[n];
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  const std::uint64_t raw_words = offsets[n];
 
   // Adjacency storage: RAM vector or memory-mapped spill.
+  std::vector<VertexId> ram;
+  ShardSpill spill;
+  VertexId* adj = nullptr;
   if (spilled) {
-    csr.spill_ =
-        ShardSpill::create(options.spill_dir, raw_words * sizeof(VertexId));
-    csr.adj_ = static_cast<VertexId*>(csr.spill_.data());
+    spill = ShardSpill::create(options.spill_dir, raw_words * sizeof(VertexId));
+    adj = static_cast<VertexId*>(spill.data());
   } else {
-    csr.adj_ram_.resize(raw_words);
-    csr.adj_ = csr.adj_ram_.data();
+    ram.resize(raw_words);
+    adj = ram.data();
   }
 
   // Pass B: scattered symmetrized writes at the running cursors.
   {
-    std::vector<std::uint64_t> cursor(csr.offsets_.begin(),
-                                      csr.offsets_.end() - 1);
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
     ScatterSink scatter;
-    scatter.adj = csr.adj_;
+    scatter.adj = adj;
     scatter.cursor = &cursor;
-    scatter.spill = spilled ? &csr.spill_ : nullptr;
+    scatter.spill = spilled ? &spill : nullptr;
     scatter.stride = std::max<std::uint64_t>(options.evict_stride_edges, 1);
     run_pass(scatter);
   }
@@ -159,39 +158,36 @@ ShardCsr build_shard_csr(const ShardedSource& src,
   std::uint64_t since_evict = 0;
   for (VertexId v = 0; v < n; ++v) {
     const std::uint64_t lo = prev_lo;
-    const std::uint64_t hi = csr.offsets_[v + 1];
+    const std::uint64_t hi = offsets[v + 1];
     prev_lo = hi;
-    std::sort(csr.adj_ + lo, csr.adj_ + hi);
-    csr.offsets_[v] = w;
+    std::sort(adj + lo, adj + hi);
+    offsets[v] = w;
     for (std::uint64_t i = lo; i < hi; ++i) {
-      if (i == lo || csr.adj_[i] != csr.adj_[w - 1]) {
-        csr.adj_[w++] = csr.adj_[i];
-      }
+      if (i == lo || adj[i] != adj[w - 1]) adj[w++] = adj[i];
     }
     if (spilled) {
       since_evict += hi - lo;
       if (since_evict >= std::max<std::uint64_t>(options.evict_stride_edges,
                                                  1)) {
         // Everything below the write head is final; evict it.
-        csr.spill_.evict(0, w * sizeof(VertexId));
+        spill.evict(0, w * sizeof(VertexId));
         since_evict = 0;
       }
     }
   }
-  csr.offsets_[n] = w;
-  csr.half_edges_ = w / 2;
+  offsets[n] = w;
 
   // Shrink to the deduped size and drop build-time pages from RSS.
   if (spilled) {
-    csr.spill_.resize(w * sizeof(VertexId));
-    csr.adj_ = static_cast<VertexId*>(csr.spill_.data());
-    csr.spill_.evict_all();
-  } else {
-    csr.adj_ram_.resize(w);
-    csr.adj_ram_.shrink_to_fit();
-    csr.adj_ = csr.adj_ram_.data();
+    spill.resize(w * sizeof(VertexId));
+    spill.evict_all();
+    auto mapping = std::make_shared<const ShardSpill>(std::move(spill));
+    const auto* data = static_cast<const VertexId*>(mapping->data());
+    return Graph::mapped(std::move(offsets), std::move(mapping), data);
   }
-  return csr;
+  ram.resize(w);
+  ram.shrink_to_fit();
+  return Graph::in_ram(std::move(offsets), std::move(ram));
 }
 
 }  // namespace rsets::shard

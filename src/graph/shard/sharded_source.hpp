@@ -18,7 +18,7 @@
 //   * Emitted edges are *raw*: self-loops and duplicates may appear exactly
 //     as a global generator would produce them; symmetrize/dedup happens at
 //     ingest (shard_csr.hpp) with the same semantics as Graph::from_edges,
-//     so sharded and materialized ingestion build identical CSRs.
+//     so build_shard_csr returns a Graph equal (==) to the materialized one.
 //   * Every endpoint is < num_vertices().
 #pragma once
 

@@ -1,7 +1,5 @@
 #include "graph/shard/validator.hpp"
 
-#include <algorithm>
-
 #include "graph/shard/shard_csr.hpp"
 #include "util/hash_family.hpp"
 
@@ -128,26 +126,14 @@ ShardValidationReport validate_sharded_source(const ShardedSource& src,
     report.cross_checked = true;
     report.cross_check_n = src.num_vertices();
     const Graph global = materialize(spec);
-    const ShardCsr csr = build_shard_csr(src);
-    if (global.num_vertices() != csr.num_vertices() ||
-        global.num_edges() != csr.num_edges()) {
+    const Graph csr = build_shard_csr(src);
+    if (csr != global) {
       report.failures.push_back(
-          "cross-check: sharded CSR shape (n=" +
-          std::to_string(csr.num_vertices()) + ", m=" +
-          std::to_string(csr.num_edges()) + ") != global (n=" +
+          "cross-check: sharded CSR (n=" + std::to_string(csr.num_vertices()) +
+          ", m=" + std::to_string(csr.num_edges()) +
+          ") differs from the global generator (n=" +
           std::to_string(global.num_vertices()) + ", m=" +
           std::to_string(global.num_edges()) + ")");
-    } else {
-      for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-        const auto a = csr.neighbors(v);
-        const auto b = global.neighbors(v);
-        if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-          report.failures.push_back(
-              "cross-check: adjacency of vertex " + std::to_string(v) +
-              " differs from the global generator");
-          break;
-        }
-      }
     }
   }
   return report;

@@ -11,9 +11,9 @@
 //     an order-independent 128-bit accumulator (sum + xor of per-edge
 //     mixes) — is identical at 1 shard, at the source's own shard count,
 //     and at an unaligned probe count;
-//   * sampled cross-check: at small n, the CSR built by the out-of-core
-//     ingest pipeline is compared vertex-by-vertex against the global
-//     generator (shard::materialize), which must be bit-identical.
+//   * sampled cross-check: at small n, the Graph built by the out-of-core
+//     ingest pipeline must equal (==) the global generator's
+//     (shard::materialize).
 #pragma once
 
 #include <cstdint>

@@ -81,6 +81,8 @@ struct RulingSetCertificate {
     return malformed == 0 && conflict_edges == 0 && uncovered == 0;
   }
   std::string to_string() const;
+  friend bool operator==(const RulingSetCertificate&,
+                         const RulingSetCertificate&) = default;
 };
 
 // Recomputes every certificate field from scratch with sequential BFS and

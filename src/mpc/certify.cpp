@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "graph/shard/shard_csr.hpp"
 #include "mpc/dist_graph.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/simulator.hpp"
@@ -30,11 +31,15 @@ MpcConfig clean_config(const MpcConfig& config) {
   return clean;
 }
 
-// The pass itself, independent of how `dg` was loaded (materialized or
-// sharded): screening, member routing, conflict exchange, beta-hop BFS.
-RulingSetCertificate certify_on(Simulator& sim, const DistGraph& dg,
-                                std::span<const VertexId> set,
-                                std::uint32_t beta) {
+}  // namespace
+
+// Screening, member routing, conflict exchange, beta-hop BFS.
+RulingSetCertificate certify_ruling_set(const Graph& g,
+                                        std::span<const VertexId> set,
+                                        std::uint32_t beta,
+                                        const MpcConfig& config) {
+  Simulator sim(clean_config(config));
+  DistGraph dg(sim, g);
   RulingSetCertificate cert;
   cert.beta = beta;
   cert.set_size = set.size();
@@ -147,25 +152,13 @@ RulingSetCertificate certify_on(Simulator& sim, const DistGraph& dg,
   return cert;
 }
 
-}  // namespace
-
-RulingSetCertificate certify_ruling_set(const Graph& g,
-                                        std::span<const VertexId> set,
-                                        std::uint32_t beta,
-                                        const MpcConfig& config) {
-  Simulator sim(clean_config(config));
-  DistGraph dg(sim, g);
-  return certify_on(sim, dg, set, beta);
-}
-
 RulingSetCertificate certify_ruling_set(const shard::ShardedSource& src,
                                         const shard::IngestOptions& ingest,
                                         std::span<const VertexId> set,
                                         std::uint32_t beta,
                                         const MpcConfig& config) {
-  Simulator sim(clean_config(config));
-  DistGraph dg(sim, src, ingest);
-  return certify_on(sim, dg, set, beta);
+  return certify_ruling_set(shard::build_shard_csr(src, ingest), set, beta,
+                            config);
 }
 
 }  // namespace rsets::mpc

@@ -42,10 +42,10 @@ RulingSetCertificate certify_ruling_set(const Graph& g,
                                         std::uint32_t beta,
                                         const MpcConfig& config);
 
-// Sharded variant: the clean-room simulator re-ingests the input from its
-// shards (never materializing a global Graph), then runs the identical
-// pass. For out-of-core runs this is the *only* validity check that scales
-// — the sequential cross-validation needs the materialized graph.
+// Builds the Graph with shard::build_shard_csr(src, ingest) and certifies
+// on it. A caller that already holds the built Graph passes it to the
+// overload above instead. perfbench/ calls this form; its sources change
+// only together with the benchmark definition.
 RulingSetCertificate certify_ruling_set(const shard::ShardedSource& src,
                                         const shard::IngestOptions& ingest,
                                         std::span<const VertexId> set,

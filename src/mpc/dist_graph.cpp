@@ -18,26 +18,6 @@ DistGraph::DistGraph(Simulator& sim, const Graph& g,
       active_(g.num_vertices(), true),
       active_count_(g.num_vertices()),
       charged_words_(sim.num_machines(), 0) {
-  finish_load(sim);
-}
-
-DistGraph::DistGraph(Simulator& sim, const shard::ShardedSource& src,
-                     const shard::IngestOptions& ingest,
-                     std::uint64_t partition_salt)
-    : graph_(nullptr),
-      csr_(shard::build_shard_csr(src, ingest)),
-      num_vertices_(csr_.num_vertices()),
-      num_edges_(csr_.num_edges()),
-      num_machines_(sim.num_machines()),
-      salt_(partition_salt),
-      owned_(sim.num_machines()),
-      active_(csr_.num_vertices(), true),
-      active_count_(csr_.num_vertices()),
-      charged_words_(sim.num_machines(), 0) {
-  finish_load(sim);
-}
-
-void DistGraph::finish_load(Simulator& sim) {
   for (VertexId v = 0; v < num_vertices_; ++v) {
     owned_[owner(v)].push_back(v);
   }
@@ -57,6 +37,20 @@ void DistGraph::finish_load(Simulator& sim) {
   // charged explicitly.
   sim.charge_rounds(1);
   sim.sync_metrics();
+}
+
+DistGraph::DistGraph(Simulator& sim, const shard::ShardedSource& src,
+                     const shard::IngestOptions& ingest,
+                     std::uint64_t partition_salt)
+    : DistGraph(sim,
+                std::make_unique<const Graph>(
+                    shard::build_shard_csr(src, ingest)),
+                partition_salt) {}
+
+DistGraph::DistGraph(Simulator& sim, std::unique_ptr<const Graph> owned,
+                     std::uint64_t partition_salt)
+    : DistGraph(sim, *owned, partition_salt) {
+  graph_owner_ = std::move(owned);
 }
 
 MachineId DistGraph::owner(VertexId v) const {

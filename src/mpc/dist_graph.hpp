@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,14 +29,14 @@ namespace rsets::mpc {
 
 class DistGraph : public Snapshotable {
  public:
-  // Loads `g` into `sim`, charging storage and the distribution round.
+  // Loads `g` into `sim`, charging storage and the distribution round. `g`
+  // must outlive this DistGraph. A sharded input is loaded the same way,
+  // from the Graph shard::build_shard_csr returns.
   DistGraph(Simulator& sim, const Graph& g, std::uint64_t partition_salt = 0);
 
-  // Sharded ingestion: each machine generates its own shard of `src` and
-  // the union is assembled into an out-of-core CSR (see shard/shard_csr.hpp)
-  // without ever building a global Graph. The CSR is bit-identical to what
-  // the materialized constructor stores, so storage charges, round counts,
-  // and the whole metrics ledger match the global path exactly.
+  // Builds the Graph with shard::build_shard_csr(src, ingest), owns it, and
+  // loads it as above. perfbench/ calls this form; its sources change only
+  // together with the benchmark definition.
   DistGraph(Simulator& sim, const shard::ShardedSource& src,
             const shard::IngestOptions& ingest = {},
             std::uint64_t partition_salt = 0);
@@ -54,14 +55,9 @@ class DistGraph : public Snapshotable {
   // Adjacency of an owned vertex; caller must be (conceptually) machine
   // owner(v).
   std::span<const VertexId> neighbors(VertexId v) const {
-    return graph_ != nullptr ? graph_->neighbors(v) : csr_.neighbors(v);
+    return graph_->neighbors(v);
   }
-  std::uint32_t degree(VertexId v) const {
-    return graph_ != nullptr ? graph_->degree(v) : csr_.degree(v);
-  }
-
-  // True when this graph was ingested from a ShardedSource.
-  bool sharded() const { return graph_ == nullptr; }
+  std::uint32_t degree(VertexId v) const { return graph_->degree(v); }
 
   // --- replicated activity ------------------------------------------------
   bool active(VertexId v) const { return active_[v]; }
@@ -93,13 +89,12 @@ class DistGraph : public Snapshotable {
   void restore(SnapshotReader& r) override;
 
  private:
-  // Charges per-machine storage (bitset + owned adjacency) and the
-  // distribution round; shared by both constructors.
-  void finish_load(Simulator& sim);
+  DistGraph(Simulator& sim, std::unique_ptr<const Graph> owned,
+            std::uint64_t partition_salt);
 
+  std::unique_ptr<const Graph> graph_owner_;  // set by the sharded ctor
   const Graph* graph_;  // simulation backing store; per-machine slices are
                         // what is *charged*, access discipline is by owner
-  shard::ShardCsr csr_;  // backing store for sharded ingestion (graph_ null)
   VertexId num_vertices_ = 0;
   std::uint64_t num_edges_ = 0;
   MachineId num_machines_ = 1;

@@ -9,14 +9,18 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/det_ruling.hpp"
 #include "core/replay.hpp"
 #include "core/ruling_set.hpp"
 #include "graph/shard/shard_csr.hpp"
 #include "graph/shard/sharded_source.hpp"
 #include "graph/shard/validator.hpp"
+#include "mpc/certify.hpp"
+#include "mpc/dist_graph.hpp"
 #include "mpc/fault/fault.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -357,43 +361,39 @@ TEST(KroneckerDescent, GoldenStreamPin) {
 
 // --------------------------------------------------------- CSR ingestion
 
-void expect_csr_equals_graph(const ShardCsr& csr, const Graph& g) {
-  ASSERT_EQ(csr.num_vertices(), g.num_vertices());
-  EXPECT_EQ(csr.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto got = csr.neighbors(v);
-    const auto want = g.neighbors(v);
-    ASSERT_EQ(got.size(), want.size()) << "degree of " << v;
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-        << "adjacency of " << v;
-  }
-}
-
 TEST(ShardCsrTest, MatchesMaterializedGraphEveryFamily) {
   for (const ShardSpec& spec : all_family_specs()) {
     const auto src = make_sharded_source(spec, 4);
-    const ShardCsr csr = build_shard_csr(*src);
-    expect_csr_equals_graph(csr, materialize(spec));
+    EXPECT_TRUE(build_shard_csr(*src) == materialize(spec))
+        << spec.to_string();
   }
 }
 
+// Also pins the storage rules: a copy of an in-RAM Graph owns its own
+// adjacency, copies of a spilled Graph share the mapping, and the mapping
+// outlives the Graph it was built for.
 TEST(ShardCsrTest, SpilledBuildIsBitIdenticalToRam) {
   const auto src = make_sharded_source(graph500_spec(), 4);
-  const ShardCsr ram = build_shard_csr(*src);
+  const Graph ram = build_shard_csr(*src);
   IngestOptions spill;
   spill.spill_dir = ::testing::TempDir();
   spill.evict_stride_edges = 1024;  // exercise mid-build eviction
-  const ShardCsr spilled = build_shard_csr(*src, spill);
-  EXPECT_FALSE(ram.spilled());
-  EXPECT_TRUE(spilled.spilled());
-  ASSERT_EQ(spilled.num_vertices(), ram.num_vertices());
-  EXPECT_EQ(spilled.num_edges(), ram.num_edges());
-  for (VertexId v = 0; v < ram.num_vertices(); ++v) {
-    const auto a = ram.neighbors(v);
-    const auto b = spilled.neighbors(v);
-    ASSERT_EQ(a.size(), b.size()) << v;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << v;
-  }
+  auto spilled = std::make_unique<Graph>(build_shard_csr(*src, spill));
+  EXPECT_TRUE(*spilled == ram);
+
+  const Graph ram_copy = ram;
+  EXPECT_NE(ram_copy.adjacency().data(), ram.adjacency().data());
+  const Graph spilled_copy = *spilled;
+  Graph assigned;
+  assigned = *spilled;
+  EXPECT_EQ(spilled_copy.adjacency().data(), spilled->adjacency().data());
+  EXPECT_EQ(assigned.adjacency().data(), spilled->adjacency().data());
+  spilled.reset();
+  EXPECT_TRUE(spilled_copy == ram);
+  EXPECT_TRUE(assigned == ram);
+  assigned = ram;
+  EXPECT_TRUE(assigned == ram);
+  EXPECT_NE(assigned.adjacency().data(), ram.adjacency().data());
 }
 
 // A source that breaks the range contract: its last shard emits one edge
@@ -460,6 +460,8 @@ TEST(ShardCsrTest, ValidateSpillDirRejectsBadPaths) {
 // materialized graph and one on the sharded stream — identical output set
 // AND an identical metrics ledger, entry for entry. Nothing downstream of
 // the DistGraph constructor may be able to tell the ingestion paths apart.
+// The sharded side takes perfbench's path: a DistGraph that ingests the
+// source itself, handed to the (Simulator&, DistGraph&) driver overload.
 TEST(ShardedExecution, DetRulingMatchesGlobalIngestion) {
   const ShardSpec spec = graph500_spec(10, 8);
   RulingSetOptions options;
@@ -469,8 +471,10 @@ TEST(ShardedExecution, DetRulingMatchesGlobalIngestion) {
 
   const RulingSetResult global =
       compute_ruling_set(materialize(spec), options);
-  const RulingSetResult sharded = compute_ruling_set_sharded(
-      *make_sharded_source(spec, options.mpc.num_machines), {}, options);
+  const auto src = make_sharded_source(spec, options.mpc.num_machines);
+  mpc::Simulator sim(options.mpc);
+  mpc::DistGraph dg(sim, *src, IngestOptions{});
+  const RulingSetResult sharded = det_ruling_set_mpc(sim, dg);
 
   EXPECT_EQ(sharded.ruling_set, global.ruling_set);
   EXPECT_EQ(sharded.phases, global.phases);
@@ -492,8 +496,9 @@ TEST(ShardedExecution, MisDriversMatchGlobalIngestion) {
     options.mpc.num_machines = 4;
     const RulingSetResult global =
         compute_ruling_set(materialize(spec), options);
-    const RulingSetResult sharded = compute_ruling_set_sharded(
-        *make_sharded_source(spec, options.mpc.num_machines), {}, options);
+    const RulingSetResult sharded = compute_ruling_set(
+        build_shard_csr(*make_sharded_source(spec, options.mpc.num_machines)),
+        options);
     EXPECT_EQ(sharded.ruling_set, global.ruling_set);
     EXPECT_TRUE(sharded.metrics == global.metrics)
         << metrics_json(sharded.metrics) << " vs "
@@ -508,23 +513,49 @@ TEST(ShardedExecution, SpilledIngestionSameResult) {
   options.beta = 2;
   options.mpc.num_machines = 4;
   const auto src = make_sharded_source(spec, options.mpc.num_machines);
-  const RulingSetResult ram = compute_ruling_set_sharded(*src, {}, options);
+  const RulingSetResult ram =
+      compute_ruling_set(build_shard_csr(*src), options);
   IngestOptions spill;
   spill.spill_dir = ::testing::TempDir();
   const RulingSetResult spilled =
-      compute_ruling_set_sharded(*src, spill, options);
+      compute_ruling_set(build_shard_csr(*src, spill), options);
   EXPECT_EQ(spilled.ruling_set, ram.ruling_set);
   EXPECT_TRUE(spilled.metrics == ram.metrics)
       << metrics_json(spilled.metrics) << " vs " << metrics_json(ram.metrics);
 }
 
-TEST(ShardedExecution, UnsupportedAlgorithmThrows) {
+// The (source, ingest) certify overload builds its own Graph; it must agree
+// with the Graph overload on that Graph and on the materialized one, in RAM
+// and spilled, for a valid set and for one with an uncovered region.
+TEST(ShardedExecution, CertifyOverloadsAgree) {
+  const ShardSpec spec = graph500_spec(10, 8);
   RulingSetOptions options;
-  options.algorithm = Algorithm::kGreedySequential;
+  options.algorithm = Algorithm::kDetRulingMpc;
   options.beta = 2;
-  EXPECT_THROW(compute_ruling_set_sharded(
-                   *make_sharded_source(graph500_spec(), 4), {}, options),
-               std::invalid_argument);
+  options.mpc.num_machines = 4;
+  const Graph global = materialize(spec);
+  const std::vector<VertexId> valid =
+      compute_ruling_set(global, options).ruling_set;
+  const std::vector<VertexId> partial(valid.begin(),
+                                      valid.begin() + valid.size() / 2);
+  const auto src = make_sharded_source(spec, options.mpc.num_machines);
+  IngestOptions spill;
+  spill.spill_dir = ::testing::TempDir();
+
+  for (const bool full : {true, false}) {
+    const std::vector<VertexId>& set = full ? valid : partial;
+    const RulingSetCertificate want =
+        mpc::certify_ruling_set(global, set, options.beta, options.mpc);
+    EXPECT_EQ(want.valid(), full);
+    for (const IngestOptions& ingest : {IngestOptions{}, spill}) {
+      EXPECT_TRUE(mpc::certify_ruling_set(*src, ingest, set, options.beta,
+                                          options.mpc) == want)
+          << want.to_string();
+      EXPECT_TRUE(mpc::certify_ruling_set(build_shard_csr(*src, ingest), set,
+                                          options.beta, options.mpc) == want)
+          << want.to_string();
+    }
+  }
 }
 
 // Crash + checkpoint recovery must work when the input was sharded: the
@@ -536,12 +567,13 @@ TEST(ShardedExecution, CrashRecoveryMatchesFaultFree) {
   options.algorithm = Algorithm::kDetRulingMpc;
   options.beta = 2;
   options.mpc.num_machines = 4;
-  const auto src = make_sharded_source(spec, options.mpc.num_machines);
-  const RulingSetResult clean = compute_ruling_set_sharded(*src, {}, options);
+  const Graph g =
+      build_shard_csr(*make_sharded_source(spec, options.mpc.num_machines));
+  const RulingSetResult clean = compute_ruling_set(g, options);
 
   options.mpc.faults = mpc::parse_fault_spec("crash@3:1,seed=11");
   options.mpc.checkpoint_every = 2;
-  const RulingSetResult faulty = compute_ruling_set_sharded(*src, {}, options);
+  const RulingSetResult faulty = compute_ruling_set(g, options);
 
   EXPECT_EQ(faulty.ruling_set, clean.ruling_set);
   EXPECT_GE(faulty.metrics.faults_injected, 1u);

@@ -36,7 +36,8 @@
 #   7. Sharded-generation gate: the cross-shard validator plus a
 #      10^7-edge out-of-core smoke run (sharded graph500, spill-backed,
 #      certified in-model) through rsets_cli --sharded, then the same run
-#      ingested in RAM, whose output must match line for line.
+#      ingested in RAM, whose output must match line for line; a non-MPC
+#      algorithm under --sharded must exit 2.
 #   8. Bench baseline gate: checked-in bench/baselines/*.json must carry
 #      release stamps on both build-type fields (the E12 shard_ooc, E13
 #      serve_churn, and E14 serve_concurrent baselines must exist, the
@@ -129,6 +130,12 @@ grep -v '^peak_rss_kb=' "$shard_tmp/out.txt" > "$shard_tmp/out.cmp"
 grep -v '^peak_rss_kb=' "$shard_tmp/ram.txt" > "$shard_tmp/ram.cmp"
 diff "$shard_tmp/out.cmp" "$shard_tmp/ram.cmp"
 rm -rf "$shard_tmp"
+# --sharded takes MPC algorithms only; any other is a usage error (exit 2)
+# before a shard is streamed.
+sharded_rc=0
+"$repo_root/build/tools/rsets_cli" --sharded=graph500:scale=10 \
+    --algorithm=greedy > /dev/null 2>&1 || sharded_rc=$?
+test "$sharded_rc" -eq 2
 
 echo "=== ci: bench baseline (release-recorded, within tolerance) ==="
 "$repo_root/tools/check_bench_baseline.sh" "$repo_root/build-release"

@@ -10,7 +10,6 @@
 //   rsets_cli --gen=gnp --n=5000 --faults=crash@5:2,drop~0.01,corrupt~0.02
 //             --checkpoint-every=3 --record=run.jsonl
 //   rsets_cli --replay=run.jsonl
-//   rsets_cli --soak=50 --n=400
 //   rsets_cli --serve --gen=gnp --n=10000 --updates=stream.txt
 //             --journal=state.rsj --admit-budget=64
 //   rsets_cli --serve --recover --journal=state.rsj --updates=-
@@ -23,19 +22,17 @@
 // format); --replay re-runs the recorded specification and byte-compares
 // every regenerated line against the log, so a recorded execution — faults,
 // checkpoints, recoveries, corruption healing and all — is checkably
-// reproducible. --soak=N runs the chaos-soak harness (core/chaos.hpp): N
-// seeded mixed-fault schedules across every MPC algorithm, asserting
-// bit-identical outputs and certified validity. --serve holds the graph
-// resident and maintains its ruling set incrementally under an edge-update
-// stream (see src/serve/), certifying every committed epoch.
+// reproducible. --serve holds the graph resident and maintains its ruling
+// set incrementally under an edge-update stream (see src/serve/), certifying
+// every committed epoch. The chaos soaks have their own front end,
+// tools/chaos_soak.
 //
 // Exit-code contract (documented in README "Exit codes"):
 //   0  the output verified (and, under --paranoid, was certified and
-//      cross-validated; under --replay, every line matched; under --soak,
-//      every schedule upheld the contract; under --serve, every committed
-//      epoch certified)
-//   1  the run completed but verification/certification/replay/soak failed,
-//      or the service could not maintain its certified contract
+//      cross-validated; under --replay, every line matched; under --serve,
+//      every committed epoch certified)
+//   1  the run completed but verification/certification/replay failed, or
+//      the service could not maintain its certified contract
 //   2  usage or input errors: bad flags, malformed graph files or update
 //      streams, missing or unreadable replay logs/journals
 #include <cstdint>
@@ -48,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "core/chaos.hpp"
 #include "core/replay.hpp"
 #include "core/ruling_set.hpp"
 #include "serve/service.hpp"
@@ -83,7 +79,7 @@ const char* model_name(Model m) {
 int usage(const std::string& error) {
   std::cerr << "error: " << error << "\n\n"
             << "usage: rsets_cli (--input=FILE | --gen=NAME --n=N | "
-               "--replay=FILE | --soak=N)\n"
+               "--replay=FILE | --sharded=SPEC)\n"
             << "  --algorithm=NAME   one of (default det_ruling_mpc):\n";
   for (const AlgorithmInfo& info : algorithm_registry()) {
     std::cerr << "      " << info.name;
@@ -115,9 +111,6 @@ int usage(const std::string& error) {
       << "  --checkpoint-every=K   durable checkpoint every K rounds\n"
       << "  --record=FILE      write a replayable execution log (JSONL)\n"
       << "  --replay=FILE      re-run a recorded log and verify it matches\n"
-      << "  --soak=N           chaos soak: N seeded mixed-fault schedules\n"
-      << "                     across all MPC algorithms (--n/--avg_deg/\n"
-      << "                     --machines/--seed shape the runs)\n"
       << "  --serve            long-lived service: hold the graph resident,\n"
       << "                     stream edge updates, repair incrementally on\n"
       << "                     the beta-hop frontier, certify every epoch\n"
@@ -155,13 +148,15 @@ int usage(const std::string& error) {
       << "  --sharded=SPEC     stream the input as per-machine shards (no\n"
       << "                     global edge list): graph500:scale=S[,edgefactor=E]\n"
       << "                     | rmat:scale=S[,edgefactor=E,a=A,b=B,c=C]\n"
-      << "                     | geometric3d:n=N,radius=R  (--seed applies)\n"
+      << "                     | geometric3d:n=N,radius=R  (--seed applies);\n"
+      << "                     MPC algorithms only\n"
       << "  --spill-dir=DIR    back the sharded adjacency with an mmapped\n"
       << "                     spill file in DIR (out-of-core ingestion)\n"
       << "  --validate-shards  run the cross-shard validator before computing\n"
       << "  --out=FILE         write the set, one vertex per line\n"
       << "  --print_set        print the set to stdout\n"
-      << "  --verbose          debug logging\n";
+      << "  --verbose          debug logging\n"
+      << "chaos soaks run in tools/chaos_soak (--schedules=N, --churn)\n";
   return 2;
 }
 
@@ -231,14 +226,20 @@ int run_replay(const std::string& path) {
 }
 
 // The sharded front end: the input is described by --sharded=SPEC and never
-// materialized — each simulated machine streams its own shard straight into
-// the distributed store. Verification is the in-model certificate (the
-// sequential checker would need the global graph we refuse to build), so
+// materialized as an edge list — the shards stream straight into the CSR
+// Graph (in RAM, or spilled under --spill-dir), and the algorithm and the
+// certifier both run on that Graph. Verification is the in-model
+// certificate (the sequential checker is not run on out-of-core inputs), so
 // exit 0 means the certificate validated.
 int run_sharded(const Flags& flags) {
   const RunSpec spec = spec_from_flags(flags);
   RulingSetOptions options = options_from_spec(spec);
   const AlgorithmInfo& info = algorithm_info(options.algorithm);
+  if (info.model != Model::kMpc) {
+    return usage("--sharded runs MPC algorithms only; '" +
+                 std::string(info.name) + "' is " + model_name(info.model));
+  }
+  check_beta(info, options.beta);
   const bool faulty =
       options.mpc.faults.enabled || options.mpc.checkpoint_every != 0;
 
@@ -273,8 +274,8 @@ int run_sharded(const Flags& flags) {
     };
   }
 
-  const RulingSetResult result =
-      compute_ruling_set_sharded(*src, ingest, options);
+  const Graph g = shard::build_shard_csr(*src, ingest);
+  const RulingSetResult result = compute_ruling_set(g, options);
 
   std::cout << "algorithm=" << info.name << "\n"
             << "model=mpc\n"
@@ -297,10 +298,9 @@ int run_sharded(const Flags& flags) {
               << "recovery_rounds=" << result.metrics.recovery_rounds << "\n";
   }
 
-  // Certify through the same sharded ingestion: the clean-room simulator
-  // regenerates its shards, never touching a global edge list.
-  const RulingSetCertificate cert = mpc::certify_ruling_set(
-      *src, ingest, result.ruling_set, options.beta, options.mpc);
+  // Certify on the Graph the algorithm ran on, in a clean-room simulator.
+  const RulingSetCertificate cert =
+      mpc::certify_ruling_set(g, result.ruling_set, options.beta, options.mpc);
   std::cout << "certificate=" << cert.to_string() << "\n"
             << "certify_rounds=" << cert.rounds << "\n"
             << "certified=" << (cert.valid() ? 1 : 0) << "\n"
@@ -557,34 +557,6 @@ int run_serve(const Flags& flags) {
   }
 }
 
-int run_soak(const Flags& flags) {
-  ChaosOptions options;
-  options.schedules =
-      static_cast<std::uint64_t>(flags.get_int("soak", 200));
-  options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  options.n = static_cast<std::uint64_t>(flags.get_int("n", 600));
-  options.avg_deg = flags.get_double("avg_deg", 6.0);
-  options.machines = static_cast<std::uint32_t>(flags.get_int("machines", 8));
-  const ChaosReport report = run_chaos_soak(options);
-  std::cout << "soak=" << (report.ok() ? "ok" : "failed") << "\n"
-            << "schedules=" << report.schedules_run << "\n"
-            << "runs=" << report.runs << "\n"
-            << "faults_injected=" << report.faults_injected << "\n"
-            << "corrupt_detected=" << report.corrupt_detected << "\n"
-            << "integrity_retries=" << report.integrity_retries << "\n"
-            << "quarantined_rounds=" << report.quarantined_rounds << "\n"
-            << "recovery_rounds=" << report.recovery_rounds << "\n"
-            << "certified=" << report.certified << "\n"
-            << "failures=" << report.failures.size() << "\n"
-            << "peak_rss_kb=" << peak_rss_kb() << "\n";
-  for (const ChaosFailure& f : report.failures) {
-    std::cerr << "soak failure: schedule " << f.schedule << " algorithm "
-              << f.algorithm << " faults " << f.fault_spec << ": " << f.what
-              << "\n";
-  }
-  return report.ok() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -604,7 +576,7 @@ int main(int argc, char** argv) {
       "n",         "out",      "paranoid",  "print_set",
       "producers", "query",    "queue-cap",
       "record",    "recover",  "repair-retries",
-      "replay",    "seed",     "serve",     "sharded", "soak",
+      "replay",    "seed",     "serve",     "sharded",
       "spill-dir", "threads",  "trace",     "updates",
       "validate-shards",       "verbose",   "watchdog-deadline"};
   for (const std::string& key : flags.keys()) {
@@ -615,23 +587,22 @@ int main(int argc, char** argv) {
 
   try {
     if (flags.has("sharded")) {
-      // A sharded run has no global graph, so the modes that need one (or
-      // that record a materialized RunSpec) are incompatible.
+      // A sharded run builds its graph from the shards, so the modes that
+      // take one from elsewhere (or record a materialized RunSpec) are
+      // incompatible.
       if (flags.has("input") || flags.has("gen") || flags.has("record") ||
-          flags.has("replay") || flags.has("soak") ||
-          flags.get_bool("serve", false)) {
+          flags.has("replay") || flags.get_bool("serve", false)) {
         return usage(
             "--sharded cannot be combined with --input, --gen, --record, "
-            "--replay, --soak, or --serve");
+            "--replay, or --serve");
       }
       return run_sharded(flags);
     }
     if (flags.get_bool("serve", false)) {
-      if (flags.has("sharded") || flags.has("record") || flags.has("replay") ||
-          flags.has("soak")) {
+      if (flags.has("sharded") || flags.has("record") || flags.has("replay")) {
         return usage(
-            "--serve cannot be combined with --sharded, --record, --replay, "
-            "or --soak");
+            "--serve cannot be combined with --sharded, --record, or "
+            "--replay");
       }
       if (!flags.has("input") && !flags.has("gen") &&
           !flags.get_bool("recover", false)) {
@@ -642,13 +613,9 @@ int main(int argc, char** argv) {
     if (flags.has("replay")) {
       return run_replay(flags.get("replay", ""));
     }
-    if (flags.has("soak")) {
-      return run_soak(flags);
-    }
     if (!flags.has("input") && !flags.has("gen")) {
       return usage(
-          "need --input=FILE, --gen=NAME, --replay=FILE, --soak=N, or "
-          "--sharded=SPEC");
+          "need --input=FILE, --gen=NAME, --replay=FILE, or --sharded=SPEC");
     }
 
     const RunSpec spec = spec_from_flags(flags);
@@ -753,8 +720,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Reported uniformly from every run mode (standard, replay, soak,
-    // sharded, serve), not just the out-of-core path.
+    // Reported uniformly from every run mode (standard, replay, sharded,
+    // serve), not just the out-of-core path.
     std::cout << "peak_rss_kb=" << peak_rss_kb() << "\n";
 
     // --paranoid: re-derive validity through the in-model certification
