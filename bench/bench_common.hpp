@@ -1,30 +1,11 @@
-// Shared helpers for the experiment benches (E1-E7, see EXPERIMENTS.md).
-//
-// Conventions: every bench runs each configuration exactly once (these are
-// round-complexity experiments, not microbenchmarks — the simulator is
-// deterministic given the seed, so repetition buys nothing) and reports the
-// model quantities as google-benchmark counters:
-//   rounds        total MPC rounds, including derandomization chunks
-//   model_rounds  rounds under the theoretical Theta(log n)-bit-wide
-//                 derandomization chunks (see note below)
-//   phases        degree-reduction phases / Luby iterations
-//   words         total words sent
-//   set_size      |ruling set|
-//   valid         1 if the independent checker accepted the output
-//
-// model_rounds: our simulator decides `chunk_bits` seed bits per 2-round
-// aggregation because evaluating 2^c candidate assignments costs 2^c full
-// estimator passes. The real algorithm can afford c = Theta(log n) bits per
-// chunk (the 2^c partial sums still fit machine bandwidth and the candidate
-// evaluations parallelize across machines), which is what the O(1)-rounds-
-// per-phase accounting in the paper's model assumes. model_rounds rescales
-// only the derandomization chunks accordingly; everything else is identical.
+// Shared helpers for the wall-clock benches (E1b, E1c, A0, E12-E14; see
+// EXPERIMENTS.md), which report through google-benchmark. The model-counter
+// experiments are rows of claims.cpp.
 #pragma once
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -36,18 +17,10 @@
 #include "core/ruling_set.hpp"
 #include "graph/generators.hpp"
 #include "graph/verify.hpp"
+#include "model.hpp"
 #include "mpc/trace.hpp"
-#include "util/bits.hpp"
 
 namespace rsets::bench {
-
-inline mpc::MpcConfig default_mpc(mpc::MachineId machines = 8) {
-  mpc::MpcConfig cfg;
-  cfg.num_machines = machines;
-  cfg.memory_words = std::size_t{1} << 26;
-  cfg.seed = 1;
-  return cfg;
-}
 
 // Where to dump per-round JSONL traces, or "" to skip. Benches that support
 // tracing (the threaded-scaling sweeps) write one file per configuration
@@ -80,19 +53,6 @@ class JsonlTrace {
   std::shared_ptr<std::ofstream> out_;
 };
 
-inline double model_rounds(const RulingSetResult& result, VertexId n,
-                           int chunk_bits) {
-  if (result.derand_chunks == 0) {
-    return static_cast<double>(result.metrics.rounds);
-  }
-  const double bits =
-      static_cast<double>(result.derand_chunks) * chunk_bits;
-  const double wide = std::max(1, ceil_log2(std::max<VertexId>(n, 2)));
-  const double wide_chunks = std::ceil(bits / wide);
-  return static_cast<double>(result.metrics.rounds) -
-         2.0 * static_cast<double>(result.derand_chunks) + 2.0 * wide_chunks;
-}
-
 // Stamps the host into the benchmark context exactly once per process, so
 // every JSON record a bench emits carries where it ran.
 inline void add_host_context_once() {
@@ -111,15 +71,14 @@ inline void add_host_context_once() {
 // the run used — its machine and thread counts go into every record so a
 // result row is interpretable without the invoking script.
 inline void report(benchmark::State& state, const Graph& g,
-                   const RulingSetResult& result, const mpc::MpcConfig& cfg,
-                   int chunk_bits = 4) {
+                   const RulingSetResult& result, const mpc::MpcConfig& cfg) {
   add_host_context_once();
   state.counters["num_machines"] = static_cast<double>(cfg.num_machines);
   state.counters["num_threads"] = static_cast<double>(cfg.num_threads);
   state.counters["rounds"] =
       static_cast<double>(result.metrics.rounds);
   state.counters["model_rounds"] =
-      model_rounds(result, g.num_vertices(), chunk_bits);
+      model_rounds(result, g.num_vertices(), RulingSetOptions{}.chunk_bits);
   state.counters["phases"] = static_cast<double>(result.phases);
   state.counters["words"] =
       static_cast<double>(result.metrics.total_words);
@@ -137,11 +96,6 @@ inline void report(benchmark::State& state, const Graph& g,
   }
 }
 
-// Entry point shared by every bench binary. Unless the caller already picked
-// an output file, results additionally land in BENCH_<name>.json (google-
-// benchmark's JSON schema) in the working directory, so a plain
-// `./bench_rounds_vs_n` run leaves a machine-readable record behind and the
-// plotting scripts never need to re-wire flags.
 // How this translation unit — and therefore the bench loop and the
 // simulator code inlined into it — was compiled. google-benchmark's own
 // `library_build_type` context field describes the *benchmark library*
@@ -177,6 +131,11 @@ inline void restamp_build_type(const std::string& path) {
   out << text;
 }
 
+// Entry point shared by every bench binary. Unless the caller already picked
+// an output file, results additionally land in BENCH_<name>.json (google-
+// benchmark's JSON schema) in the working directory, so a plain
+// `./bench_rounds_vs_n` run leaves a machine-readable record behind and the
+// plotting scripts never need to re-wire flags.
 inline int run_bench_main(int argc, char** argv, const char* bench_name) {
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag;

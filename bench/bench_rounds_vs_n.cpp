@@ -1,94 +1,30 @@
-// E1 — Round complexity vs n (claim C1).
-//
-// Two graph families:
-//   sparse:  G(n, p) with expected degree 12 (fixed as n grows)
-//   dense:   G(n, p) with expected degree ~ sqrt(n) (degree grows with n)
-// and four algorithms. The paper's prediction: the deterministic ruling-set
-// algorithm's *phases* stay O(log log Delta) (near-constant across this
-// sweep) while Luby-style MIS baselines grow their iteration counts like
-// log n. Compare the `phases` counters across rows; `rounds` additionally
-// carries the derandomization-chunk cost and `model_rounds` rescales that
-// cost to the theoretical chunk width (see bench_common.hpp).
-//
-// E1b (BM_DetRulingThreads) additionally sweeps the simulator's worker
-// thread count at fixed n to measure wall-clock scaling of the threaded
-// round executor; model counters are thread-invariant by construction.
-// E1c (BM_BarrierScaling) sweeps the same thread widths over a pure
-// communication storm, isolating the parallel barrier pipeline itself.
+// E1b and E1c — wall-clock scaling (EXPERIMENTS.md); E1's model counters
+// are rows of claims.cpp. E1b (BM_DetRulingThreads) sweeps the simulator's
+// worker threads on E1's dense det-ruling configuration; E1c
+// (BM_BarrierScaling) sweeps them over a pure communication storm,
+// isolating the parallel barrier pipeline.
 #include "bench_common.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <thread>
 #include <utility>
 
-#include "core/det_luby.hpp"
 #include "core/det_ruling.hpp"
-#include "core/luby.hpp"
-#include "core/sample_gather.hpp"
 #include "mpc/simulator.hpp"
 
 namespace rsets::bench {
 namespace {
 
-Graph sparse_graph(VertexId n) { return gen::gnp(n, 12.0 / n, 77); }
 Graph dense_graph(VertexId n) {
   return gen::gnp(n, std::sqrt(static_cast<double>(n)) / n, 77);
 }
 
-Graph graph_for(int family, VertexId n) {
-  return family == 0 ? sparse_graph(n) : dense_graph(n);
-}
-
 constexpr std::uint64_t kBudgetPerVertex = 8;  // force real phase work
 
-void BM_DetRuling(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  const Graph g = graph_for(static_cast<int>(state.range(1)), n);
-  RulingSetResult result;
-  for (auto _ : state) {
-    DetRulingOptions opt;
-    opt.gather_budget_words = kBudgetPerVertex * n;
-    result = det_ruling_set_mpc(g, default_mpc(), opt);
-  }
-  report(state, g, result, default_mpc());
-  state.counters["mark_steps"] = static_cast<double>(result.mark_steps);
-}
-
-void BM_SampleGather(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  const Graph g = graph_for(static_cast<int>(state.range(1)), n);
-  RulingSetResult result;
-  for (auto _ : state) {
-    SampleGatherOptions opt;
-    opt.gather_budget_words = kBudgetPerVertex * n;
-    result = sample_gather_2ruling(g, default_mpc(), opt);
-  }
-  report(state, g, result, default_mpc());
-}
-
-void BM_Luby(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  const Graph g = graph_for(static_cast<int>(state.range(1)), n);
-  RulingSetResult result;
-  for (auto _ : state) {
-    result = luby_mis_mpc(g, default_mpc());
-  }
-  report(state, g, result, default_mpc());
-}
-
-void BM_DetLuby(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  const Graph g = graph_for(static_cast<int>(state.range(1)), n);
-  RulingSetResult result;
-  for (auto _ : state) {
-    result = det_luby_mis_mpc(g, default_mpc());
-  }
-  report(state, g, result, default_mpc());
-}
-
 // E1b — wall-clock scaling of the threaded simulator. Same deterministic
-// ruling-set run as BM_DetRuling, swept over worker-thread counts. The
+// ruling-set run as E1's dense rows, swept over worker-thread counts. The
 // round/word/set counters must be identical across rows of the same n (the
 // simulator is bit-deterministic regardless of num_threads; the `identical`
 // counter asserts it against the threads=1 row) — only wall_ms may move.
@@ -262,27 +198,6 @@ void ThreadSweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-void SparseAndDenseSizes(benchmark::internal::Benchmark* b) {
-  for (int family : {0, 1}) {
-    for (VertexId n : {1000, 2000, 4000, 8000, 16000, 32000}) {
-      b->Args({static_cast<long>(n), family});
-    }
-  }
-}
-
-void SmallSizes(benchmark::internal::Benchmark* b) {
-  // The derandomized-Luby baseline is computationally dense; cap its sweep.
-  for (int family : {0, 1}) {
-    for (VertexId n : {500, 1000, 2000, 4000}) {
-      b->Args({static_cast<long>(n), family});
-    }
-  }
-}
-
-BENCHMARK(BM_DetRuling)->Apply(SparseAndDenseSizes)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SampleGather)->Apply(SparseAndDenseSizes)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Luby)->Apply(SparseAndDenseSizes)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DetLuby)->Apply(SmallSizes)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DetRulingThreads)->Apply(ThreadSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TransportStorm)->Apply(StormSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BarrierScaling)->Apply(BarrierSweep)->Iterations(1)->Unit(benchmark::kMillisecond);

@@ -7,7 +7,9 @@
 # bench/, and installs the resulting BENCH_<name>.json files into
 # bench/baselines/. Each file carries an rsets_build_type context stamp
 # recording how the bench code was compiled; that stamp is how the gate
-# tells a Release-recorded baseline from an unoptimized one.
+# tells a Release-recorded baseline from an unoptimized one. Each also
+# carries rsets_git_sha, the commit it was recorded at, next to
+# google-benchmark's own host_name and num_cpus.
 #
 # Usage: tools/bench_baseline.sh [build_dir]     (default: build-release)
 #
@@ -18,6 +20,7 @@ set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build-release"}
 jobs=$(nproc)
+sha=$(git -C "$repo_root" rev-parse --short HEAD)
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$jobs"
@@ -31,7 +34,7 @@ for bin in "$build_dir"/bench/bench_*; do
   echo "=== bench_baseline: $(basename "$bin") ==="
   # Each binary writes BENCH_<experiment>.json into the working directory
   # (see RSETS_BENCH_MAIN in bench/bench_common.hpp).
-  (cd "$out_dir" && "$bin")
+  (cd "$out_dir" && "$bin" "--benchmark_context=rsets_git_sha=$sha")
 done
 
 echo "bench_baseline: recorded $(ls "$out_dir"/BENCH_*.json | wc -l) baseline files in bench/baselines/"

@@ -3,12 +3,16 @@
 #
 #   1. Regular build + complete test suite (ctest). It carries the
 #      degrade-parity (Degrade.*) and integrity-parity (IntegrityAllMpc.*)
-#      gates, the E1 configuration included.
+#      gates, the E1 configuration included, and claims_golden: every
+#      model counter of E1-E11 and A1 (E7's derandomization counters
+#      included) must equal bench/claims.golden.jsonl exactly, every row
+#      must verify, and every per-machine peak must fit S.
 #   2. ThreadSanitizer pass over the round-parallel simulator and its
 #      parallel barrier: unit tests, the barrier-parity suite, and a short
 #      thread-width-rotating chaos soak (tools/check_tsan.sh).
 #   3. AddressSanitizer + UBSan build of the complete test suite
-#      (RSETS_SANITIZE=address,undefined), run under halt-on-error.
+#      (RSETS_SANITIZE=address,undefined), run under halt-on-error; it
+#      builds rsets_claims too, so every claim row runs under both.
 #   4. Record/recover/replay gate for the fault subsystem
 #      (tools/check_replay.sh).
 #   5. Fuzz smoke: 30 s each on the edge-list, flag parser, checkpoint
@@ -38,14 +42,13 @@
 #      certified in-model) through rsets_cli --sharded, then the same run
 #      ingested in RAM, whose output must match line for line; a non-MPC
 #      algorithm under --sharded must exit 2.
-#   8. Bench baseline gate: checked-in bench/baselines/*.json must carry
-#      release stamps on both build-type fields (the E12 shard_ooc, E13
-#      serve_churn, and E14 serve_concurrent baselines must exist, the
-#      serving rows with certified=1), a Release re-run of the E1b
-#      transport-storm and E1c
+#   8. Bench baseline gate (tools/check_bench_baseline.sh), wall clock
+#      only: checked-in bench/baselines/*.json must carry release stamps
+#      on both build-type fields (the E12 shard_ooc, E13 serve_churn, and
+#      E14 serve_concurrent baselines must exist, the serving rows with
+#      certified=1), a Release re-run of the E1b transport-storm and E1c
 #      barrier-scaling rows must stay within a generous real_time tolerance
-#      of them, and every E1c row must report identical=1
-#      (tools/check_bench_baseline.sh).
+#      (4x) of them, and every E1c row must report identical=1.
 #   9. Benchmark parity: one short perfbench/run.py pass per workload
 #      (dense_phases, sharded_gather, serve_churn; seed 1). Its last line
 #      must report "correct": true and "failed": 0 — a set or ledger digest
@@ -72,7 +75,8 @@ echo "=== ci: thread sanitizer (simulator contract) ==="
 echo "=== ci: address+undefined sanitizers (full suite) ==="
 cmake -B "$repo_root/build-asan" -S "$repo_root" \
       -DRSETS_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$repo_root/build-asan" --target rsets_tests -j "$jobs"
+cmake --build "$repo_root/build-asan" --target rsets_tests rsets_claims \
+      -j "$jobs"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
     ctest --test-dir "$repo_root/build-asan" -j "$jobs" --output-on-failure
