@@ -87,11 +87,17 @@ void BM_FixSeed(benchmark::State& state) {
   for (std::size_t i = 0; i < targets; ++i) {
     ids.push_back((i * 2654435761u) & 0xFFFF);
   }
-  auto count_marked = [&](mpc::MachineId, const MarkingFamily& family, int,
+  // Each assignment of a chunk fixed in turn on a copy of the family.
+  auto count_marked = [&](mpc::MachineId, const MarkingFamily& family,
+                          int level, std::span<const int> chunk,
                           std::span<double> out) {
-    double total = 0.0;
-    for (std::uint64_t v : ids) total += family.prob_mark(v, family.levels());
-    out[0] = total;
+    MarkingFamily local = family;
+    for (std::uint32_t a = 0; a < out.size(); ++a) {
+      fix_chunk(local.level(level), chunk, a);
+      double total = 0.0;
+      for (std::uint64_t v : ids) total += local.prob_mark(v, local.levels());
+      out[a] = total;
+    }
   };
   mpc::MpcConfig cfg;
   cfg.num_machines = 1;

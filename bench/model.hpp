@@ -20,8 +20,8 @@ inline mpc::MpcConfig default_mpc(mpc::MachineId machines = 8) {
 }
 
 // Our simulator decides `chunk_bits` seed bits per 2-round aggregation,
-// because evaluating 2^c candidate assignments costs 2^c full estimator
-// passes. The real algorithm affords c = Theta(log n) bits per chunk (the
+// because scoring 2^c candidate assignments costs 2^c lanes per estimator
+// term. The real algorithm affords c = Theta(log n) bits per chunk (the
 // 2^c partial sums still fit bandwidth; the evaluations parallelize across
 // machines), which the paper's O(1)-rounds-per-phase accounting assumes.
 // model_rounds rescales only the derandomization chunks to that width.

@@ -27,14 +27,19 @@
 // Distribution: every machine holds estimator shards for the targets and
 // candidate edges it owns; one chunk of seed bits costs one width-2*2^c
 // allreduce (2 MPC rounds) in which all 2^c candidate assignments are
-// evaluated at once (cover and edge mass per assignment). The pair term of
-// Z_v costs O(|T_v|) per evaluation, a class count rather than a loop over
-// pairs (PairwiseBitLevel::pair_sum). The chosen seed is known everywhere,
-// so marks are locally evaluable with zero further communication — the
-// property the whole deterministic algorithm leans on.
+// evaluated at once (cover and edge mass per assignment). A machine scores
+// the whole chunk in one pass over its shard, in exact integer counts
+// (MarkShard::chunk_partials): edges and single marks land in one 2^c
+// histogram read off by a Walsh-Hadamard transform, and each T_v's pair
+// term is PairwiseBitLevel::pair_sum's class count with the determined-ones
+// count and per-class parities kept in 2^c lanes. The chosen seed is known
+// everywhere, so marks are locally evaluable with zero further
+// communication — the property the whole deterministic algorithm leans on.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -60,6 +65,39 @@ struct DerandMarkResult {
   int seed_bits = 0;
   int chunks = 0;          // allreduce super-steps spent
   std::uint64_t rounds = 0;  // MPC rounds consumed (2 per chunk)
+};
+
+// Estimator shard held by one machine: the targets it owns (truncated
+// candidate neighborhoods, each ascending) and the candidate edges it owns.
+// Lists shrink to level survivors as seed levels are finalized. Levels
+// below the current one are folded in (survivor lists); each of the
+// `remaining` levels above contributes 1/2 to a marginal and 1/4 to a
+// pairwise joint.
+struct MarkShard {
+  std::vector<std::vector<VertexId>> target_lists;
+  std::vector<Edge> edges;
+
+  // (cover, edge mass) with `level` in its (tentative) state, summed in
+  // order: lists, then edges.
+  std::pair<double, double> partial(const PairwiseBitLevel& level,
+                                    int remaining) const;
+
+  // True iff every partial sum of partial() is a multiple of
+  // u = 2^-(2*remaining+2) below 2^53 * u, whatever the level state:
+  // sum over lists of (|T_v| * 2^(remaining+2) + 2 |T_v|^2) < 2^53 and
+  // 4 |edges| < 2^53. Then partial() equals an integer count of u exactly.
+  bool counts_exact(int remaining) const;
+
+  // partial() under every assignment of `chunk` (see SeedChunkFn), as
+  // out[2a] (cover) and out[2a + 1] (edge mass). From exact integer class
+  // counts when counts_exact(remaining), else by fixing each assignment
+  // and calling partial(); the two agree bit for bit.
+  void chunk_partials(const PairwiseBitLevel& level, int remaining,
+                      std::span<const int> chunk,
+                      std::span<double> out) const;
+
+  // Drops every id whose bit at the fully fixed `level` is 0.
+  void keep_survivors(const PairwiseBitLevel& level);
 };
 
 // Runs the derandomized marking over `dg`'s active subgraph inside `sim`.

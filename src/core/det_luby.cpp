@@ -118,9 +118,9 @@ RulingSetResult det_luby_mis_mpc(const Graph& g, const mpc::MpcConfig& cfg,
       // assignment is its shard of Psi.
       result.derand_chunks +=
           fix_seed_mpc(sim, family, options.chunk_bits, 1,
-                       [&](MachineId m, const MarkingFamily& tentative, int,
-                           std::span<double> out) {
-                         out[0] = shards[m].psi(tentative);
+                       [&](MachineId m, const MarkingFamily& pre, int level,
+                           std::span<const int> chunk, std::span<double> out) {
+                         shards[m].psi_chunk(pre, level, chunk, out);
                        })
               .chunks;
       ++result.mark_steps;

@@ -156,9 +156,9 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
     // Psi.
     result.derand_chunks +=
         fix_seed_mpc(sim, family, options.chunk_bits, 1,
-                     [&](MachineId m, const MarkingFamily& tentative, int,
-                         std::span<double> out) {
-                       out[0] = shards[m].psi(tentative);
+                     [&](MachineId m, const MarkingFamily& pre, int level,
+                         std::span<const int> chunk, std::span<double> out) {
+                       shards[m].psi_chunk(pre, level, chunk, out);
                      })
             .chunks;
 

@@ -50,6 +50,7 @@ RulingSetResult det_ruling_set_mpc(Simulator& sim, mpc::DistGraph& dg,
                        result.derand_chunks, result.degree_trajectory);
   sim.register_snapshotable("det_ruling", &driver_state);
 
+  std::uint64_t clamped_phases = 0;
   while (dg.active_count() > 0) {
     const std::uint64_t m_active = count_active_edges(sim, dg);
     if (m_active == 0) {
@@ -84,8 +85,11 @@ RulingSetResult det_ruling_set_mpc(Simulator& sim, mpc::DistGraph& dg,
     d = std::max<std::uint32_t>(d, 2);
     if (d > delta) {
       // Budget too small for the near-linear analysis; degrade gracefully.
-      RSETS_WARN << "det_ruling: threshold " << d << " exceeds Delta "
-                 << delta << " (budget too small for regime); clamping";
+      // Warned once per run; the final INFO line counts the phases.
+      if (clamped_phases++ == 0) {
+        RSETS_WARN << "det_ruling: threshold " << d << " exceeds Delta "
+                   << delta << " (budget too small for regime); clamping";
+      }
       d = delta;
     }
     // k from the threshold, raised if needed so that E[sampled edges]
@@ -139,6 +143,7 @@ RulingSetResult det_ruling_set_mpc(Simulator& sim, mpc::DistGraph& dg,
   RSETS_INFO << "det_ruling: n=" << n << " beta=" << options.beta
              << " |R|=" << ruling.size() << " phases=" << result.phases
              << " mark_steps=" << result.mark_steps
+             << " clamped_phases=" << clamped_phases
              << " rounds=" << result.metrics.rounds
              << " random_words=" << result.metrics.random_words;
   return result;

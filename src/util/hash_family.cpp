@@ -139,6 +139,47 @@ int PairwiseBitLevel::seed_bit(int index) const {
   return (fixed_vals_ >> index) & 1;
 }
 
+void fix_chunk(PairwiseBitLevel& level, std::span<const int> chunk,
+               std::uint32_t a) {
+  for (std::size_t b = 0; b < chunk.size(); ++b) {
+    level.fix_bit(chunk[b], static_cast<int>((a >> b) & 1u));
+  }
+}
+
+ChunkForms::ChunkForms(const PairwiseBitLevel& level,
+                       std::span<const int> chunk)
+    : width_(static_cast<int>(chunk.size())),
+      id_mask_(level.id_mask_),
+      free_mask_(level.id_mask_ & ~level.fixed_mask_),
+      fixed_vals_(level.fixed_vals_),
+      c_val_(level.c_fixed_ ? level.c_val_ : 0),
+      c_fixed_after_(level.c_fixed_) {
+  if (width_ > kMaxWidth) {
+    throw std::invalid_argument("ChunkForms: chunk wider than 12 bits");
+  }
+  for (int b = 0; b < width_; ++b) {
+    const int index = chunk[static_cast<std::size_t>(b)];
+    if (index < 0 || index > level.bits() || level.bit_fixed(index) ||
+        (b > 0 && index <= chunk[static_cast<std::size_t>(b) - 1])) {
+      throw std::invalid_argument(
+          "ChunkForms: chunk must list ascending unfixed bits");
+    }
+    if (index == level.bits()) {  // the constant: last, since ascending
+      c_fixed_after_ = true;
+      c_lane_ = std::uint32_t{1} << b;
+      continue;
+    }
+    free_mask_ &= ~(std::uint64_t{1} << index);
+    positions_[static_cast<std::size_t>(coef_bits_)] = index;
+    if (coef_bits_ > 0 && index != positions_[0] + coef_bits_) {
+      contiguous_ = false;
+    }
+    ++coef_bits_;
+  }
+  lo_ = positions_[0];
+  coef_lanes_ = (std::uint32_t{1} << coef_bits_) - 1;
+}
+
 MarkingFamily::MarkingFamily(std::uint64_t n_ids, int k)
     : id_bits_(bit_width_for(n_ids)) {
   if (k < 1) throw std::invalid_argument("MarkingFamily: k must be >= 1");

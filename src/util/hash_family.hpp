@@ -47,6 +47,7 @@
 // core/seed_fixing fixes them — and a sort of a copy of the ids otherwise.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -90,6 +91,8 @@ class PairwiseBitLevel {
   int seed_bit(int index) const;
 
  private:
+  friend class ChunkForms;
+
   // Determined XOR contribution of already-fixed coefficient bits.
   int fixed_part(std::uint64_t x) const {
     return parity64(x & fixed_vals_) ^ (c_fixed_ ? c_val_ : 0);
@@ -103,6 +106,85 @@ class PairwiseBitLevel {
   std::uint64_t fixed_vals_ = 0;  // their values (subset of fixed_mask_)
   bool c_fixed_ = false;
   int c_val_ = 0;
+};
+
+// Fixes chunk[b] to bit b of the assignment word `a`, for every b.
+void fix_chunk(PairwiseBitLevel& level, std::span<const int> chunk,
+               std::uint32_t a);
+
+// One chunk of a level's unfixed bits, seen from the level's state before
+// the chunk is fixed. Under every assignment word a (as fix_chunk applies
+// it) an id keeps the same free part and is either determined or not; a
+// determined id's bit is p0 XOR parity(a & s), where s is its chunk
+// projection (the constant bit projects to 1 for every id). So an id's
+// class under all 2^c assignments is read once per chunk, and the
+// conditionals above become functions of a few Walsh characters of a.
+class ChunkForms {
+ public:
+  static constexpr int kMaxWidth = 12;
+
+  // `chunk`: ascending unfixed indices of `level`, at most kMaxWidth.
+  // Throws std::invalid_argument otherwise.
+  ChunkForms(const PairwiseBitLevel& level, std::span<const int> chunk);
+
+  int width() const { return width_; }
+  std::uint32_t lanes() const { return std::uint32_t{1} << width_; }
+
+  struct Form {
+    std::uint64_t free_part;  // coefficients still free after the chunk
+    std::uint32_t s;          // chunk projection
+    int p0;                   // fixed part before the chunk
+    bool determined;          // bit known once the chunk is fixed
+  };
+  Form form(std::uint64_t v) const {
+    const std::uint64_t x = v & id_mask_;
+    return {free_part(x), project(x), parity64(x & fixed_vals_) ^ c_val_,
+            determined(free_part(x))};
+  }
+  // The parts of form() that cost no projection.
+  std::uint64_t free_part(std::uint64_t v) const { return v & free_mask_; }
+  bool determined(std::uint64_t free_part) const {
+    return c_fixed_after_ && free_part == 0;
+  }
+
+  // parity(a & s) for chunk words a and s.
+  static int parity(std::uint32_t a, std::uint32_t s) {
+    return kParity[(a & s) & ((1u << kMaxWidth) - 1)];
+  }
+
+ private:
+  static constexpr std::array<std::uint8_t, (1u << kMaxWidth)> kParity = [] {
+    std::array<std::uint8_t, (1u << kMaxWidth)> t{};
+    for (std::uint32_t x = 1; x < t.size(); ++x) {
+      t[x] = static_cast<std::uint8_t>(t[x >> 1] ^ (x & 1u));
+    }
+    return t;
+  }();
+
+  std::uint32_t project(std::uint64_t x) const {
+    if (contiguous_) {
+      return static_cast<std::uint32_t>((x >> lo_) & coef_lanes_) | c_lane_;
+    }
+    std::uint32_t s = c_lane_;
+    for (int b = 0; b < coef_bits_; ++b) {
+      s |= static_cast<std::uint32_t>((x >> positions_[b]) & 1u) << b;
+    }
+    return s;
+  }
+
+  int width_;
+  std::uint64_t id_mask_;
+  std::uint64_t free_mask_;   // coefficients unfixed after the chunk
+                              // (within id_mask_)
+  std::uint64_t fixed_vals_;  // coefficient values fixed before it
+  int c_val_;                 // the constant, if fixed before the chunk
+  bool c_fixed_after_;
+  int coef_bits_ = 0;  // chunk coefficient positions, ascending
+  std::array<int, kMaxWidth> positions_{};
+  bool contiguous_ = true;
+  int lo_ = 0;
+  std::uint32_t coef_lanes_ = 0;  // (1 << coef_bits_) - 1
+  std::uint32_t c_lane_ = 0;      // lane bit of the constant, if chunked
 };
 
 // A k-level marking family over ids in [0, n_ids). Marking probability is

@@ -7,6 +7,7 @@
 // before that line).
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,11 @@ struct Case {
   std::uint32_t beta;       // ignored when matching
   bool matching = false;
 };
+
+// Names the case in ctest instead of gtest's raw byte dump.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << " beta=" << c.beta;
+}
 
 class EnforceParity : public ::testing::TestWithParam<Case> {
  protected:

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -35,14 +36,20 @@ class CountMarked {
     return total;
   }
 
-  SeedPartialFn partial() const {
-    return [this](mpc::MachineId m, const MarkingFamily& family, int,
-                  std::span<double> out) {
-      double total = 0.0;
-      for (std::size_t i = m; i < targets_.size(); i += machines_) {
-        total += family.prob_mark(targets_[i], family.levels());
+  // Machine m's share under every assignment of the chunk, each fixed on a
+  // copy of the family in turn.
+  SeedChunkFn partial() const {
+    return [this](mpc::MachineId m, const MarkingFamily& family, int level,
+                  std::span<const int> chunk, std::span<double> out) {
+      MarkingFamily local = family;
+      for (std::uint32_t a = 0; a < out.size(); ++a) {
+        fix_chunk(local.level(level), chunk, a);
+        double total = 0.0;
+        for (std::size_t i = m; i < targets_.size(); i += machines_) {
+          total += local.prob_mark(targets_[i], local.levels());
+        }
+        out[a] = total;
       }
-      out[0] = total;
     };
   }
 
@@ -185,9 +192,8 @@ TEST(FixSeed, ConstantEstimatorPicksAllZeroChunks) {
     mpc::Simulator sim(config_for(machines));
     const SeedFixReport report = fix_seed_mpc(
         sim, family, 3, 1,
-        [](mpc::MachineId, const MarkingFamily&, int, std::span<double> out) {
-          out[0] = 1.0;
-        });
+        [](mpc::MachineId, const MarkingFamily&, int, std::span<const int>,
+           std::span<double> out) { std::ranges::fill(out, 1.0); });
     EXPECT_TRUE(family.fully_fixed());
     EXPECT_EQ(family.seed(),
               std::vector<std::uint8_t>(family.total_seed_bits(), 0));

@@ -13,7 +13,9 @@
 #   * Stage 1 (unit tests): the simulator unit tests, the cross-thread
 #     determinism sweep (every MPC algorithm at 1/2/8 workers, including
 #     the record-log byte comparison), the barrier-parity suite (thread
-#     widths x fault cocktails), and the dispatcher integration tests.
+#     widths x fault cocktails), the dispatcher integration tests, and the
+#     chunk-evaluator oracle suite (ChunkEval.EnginesAtFourWorkersMatch-
+#     OrderedLoop scores seed chunks on 4 simulator workers at once).
 #   * Stage 2 (chaos soak): a short tools/chaos_soak run. The soak rotates
 #     the simulator thread width across schedules, so the parallel barrier
 #     runs under crash/corrupt/reorder/quarantine fault pressure with TSan
@@ -41,7 +43,7 @@ cmake --build "$build_dir" --target rsets_tests chaos_soak -j "$(nproc)"
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tests/rsets_tests" \
-    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*'
+    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*:ChunkEval*'
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tools/chaos_soak" --schedules=6 --n=400 --machines=8
