@@ -15,18 +15,14 @@
 #include "mpc/certify.hpp"
 #include "serve/ingest.hpp"
 #include "serve/service.hpp"
+#include "util/rng.hpp"
 
 namespace rsets {
 namespace {
 
-// SplitMix64: the schedule-parameter mixer. Independent of every simulator
-// RNG stream — it only picks which knobs a schedule turns on.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// SplitMix64 of `x`: the schedule-parameter mixer. Independent of every
+// simulator RNG stream — it only picks which knobs a schedule turns on.
+std::uint64_t mix(std::uint64_t x) { return splitmix64(x); }
 
 // Picks one of four values using two bits of `h` at `slot`.
 template <class T>

@@ -1,7 +1,7 @@
 #include "core/greedy.hpp"
 
+#include <algorithm>
 #include <deque>
-#include <limits>
 #include <stdexcept>
 
 namespace rsets {
@@ -22,31 +22,8 @@ std::vector<VertexId> greedy_ruling_set(const Graph& g, std::uint32_t beta) {
     throw std::invalid_argument("greedy_ruling_set: beta must be >= 1");
   }
   if (beta == 1) return greedy_mis(g);
-  const VertexId n = g.num_vertices();
-  // dist_to_set[v] = hop distance to the nearest chosen member, capped at
-  // beta+1 (= "far"). Adding a member relaxes distances by truncated BFS.
-  const std::uint32_t kFar = beta + 1;
-  std::vector<std::uint32_t> dist_to_set(n, kFar);
-  std::vector<VertexId> set;
-  std::deque<VertexId> queue;
-  for (VertexId v = 0; v < n; ++v) {
-    if (dist_to_set[v] <= beta) continue;
-    set.push_back(v);
-    dist_to_set[v] = 0;
-    queue.push_back(v);
-    while (!queue.empty()) {
-      const VertexId u = queue.front();
-      queue.pop_front();
-      if (dist_to_set[u] >= beta) continue;
-      for (VertexId w : g.neighbors(u)) {
-        if (dist_to_set[w] > dist_to_set[u] + 1) {
-          dist_to_set[w] = dist_to_set[u] + 1;
-          queue.push_back(w);
-        }
-      }
-    }
-  }
-  return set;
+  // A (beta+1, beta)-ruling set: members pairwise farther than beta apart.
+  return greedy_alpha_beta_ruling_set(g, beta + 1, beta);
 }
 
 std::vector<VertexId> greedy_alpha_beta_ruling_set(const Graph& g,

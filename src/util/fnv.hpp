@@ -13,16 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__x86_64__) || defined(__i386__)
-#if defined(__GNUC__) || defined(__clang__)
-#define RSETS_FNV_X86 1
-#include <immintrin.h>
-#endif
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-#define RSETS_FNV_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace rsets {
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
@@ -57,34 +47,16 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t size,
 // its zero-padded extension.
 inline constexpr std::size_t kFnvBatchLanes = 4;
 
-// Reference implementation: one loop, lane selected by index. This is the
-// specification every batch variant (scalar, SSE2, AVX2, NEON) must match
-// bit-for-bit (asserted in tests/test_fnv_batch.cpp); keep them in sync.
-inline std::uint64_t fnv1a_words_batch_reference(
-    const std::uint64_t* words, std::size_t count,
-    std::uint64_t h = kFnvOffsetBasis) {
-  std::uint64_t lane[kFnvBatchLanes];
-  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
-    lane[j] = fnv1a_word(h, j);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    lane[i % kFnvBatchLanes] = fnv1a_word(lane[i % kFnvBatchLanes], words[i]);
-  }
-  std::uint64_t out = h;
-  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
-    out = fnv1a_word(out, lane[j]);
-  }
-  return fnv1a_word(out, count);
-}
-
-// Scalar fallback: the main loop retires four words per iteration with the
-// lane multiplies independent, so the compiler can keep all four chains in
-// flight even without vector units. The <= 3 leftover words land on lanes
-// 0..2 because the unrolled loop always leaves `i` a multiple of 4 — every
-// SIMD variant below shares this tail convention.
-inline std::uint64_t fnv1a_words_batch_scalar(const std::uint64_t* words,
-                                              std::size_t count,
-                                              std::uint64_t h) {
+// The main loop retires four words per iteration on four independent
+// multiply chains; the <= 3 leftover words land on lanes 0..2 because the
+// loop always leaves `i` a multiple of 4. Keep it a plain scalar loop: SSE2
+// and AVX2 versions measured 2.5-3.2x slower per word on x86 (DESIGN.md
+// §4.6). Lacking a 64-bit vector multiply, each vector step is a long
+// pmuludq/shift/add sequence, and with the lanes packed in one register
+// that sequence is a single dependence chain.
+inline std::uint64_t fnv1a_words_batch(const std::uint64_t* words,
+                                       std::size_t count,
+                                       std::uint64_t h = kFnvOffsetBasis) {
   std::uint64_t l0 = fnv1a_word(h, 0);
   std::uint64_t l1 = fnv1a_word(h, 1);
   std::uint64_t l2 = fnv1a_word(h, 2);
@@ -105,186 +77,6 @@ inline std::uint64_t fnv1a_words_batch_scalar(const std::uint64_t* words,
   out = fnv1a_word(out, l2);
   out = fnv1a_word(out, l3);
   return fnv1a_word(out, count);
-}
-
-// --- SIMD variants -----------------------------------------------------
-//
-// The FNV prime has the special form 2^40 + 0x1b3, so the 64-bit product
-//   x * kFnvPrime  ==  (x << 40) + x * 0x1b3   (mod 2^64)
-// and because 0x1b3 < 2^9, the x * 0x1b3 term decomposes into two 32x32->64
-// multiplies:  lo32(x)*0x1b3 + ((hi32(x)*0x1b3) << 32).  That is exactly the
-// shape of pmuludq / vmull_u32, which is how the variants below synthesize a
-// 64-bit lane multiply on ISAs that lack one (AVX2's _mm256_mullo_epi64 is
-// AVX-512 DQ; NEON has no 64-bit multiply at all). Each vector step computes
-//   lanes = fnv_mul_prime(lanes ^ loaded_words)
-// which is bit-for-bit fnv1a_word applied per lane.
-
-#if defined(RSETS_FNV_X86)
-
-// SSE2 (x86-64 baseline): the four lanes live in two xmm registers.
-__attribute__((target("sse2"))) inline __m128i fnv_mul_prime_sse2(__m128i x) {
-  const __m128i k1b3 = _mm_set1_epi64x(0x1b3);
-  const __m128i lo = _mm_mul_epu32(x, k1b3);
-  const __m128i hi = _mm_mul_epu32(_mm_srli_epi64(x, 32), k1b3);
-  const __m128i mul = _mm_add_epi64(lo, _mm_slli_epi64(hi, 32));
-  return _mm_add_epi64(mul, _mm_slli_epi64(x, 40));
-}
-
-__attribute__((target("sse2"))) inline std::uint64_t fnv1a_words_batch_sse2(
-    const std::uint64_t* words, std::size_t count, std::uint64_t h) {
-  __m128i lanes01 = _mm_set_epi64x(
-      static_cast<long long>(fnv1a_word(h, 1)),
-      static_cast<long long>(fnv1a_word(h, 0)));
-  __m128i lanes23 = _mm_set_epi64x(
-      static_cast<long long>(fnv1a_word(h, 3)),
-      static_cast<long long>(fnv1a_word(h, 2)));
-  std::size_t i = 0;
-  for (; i + kFnvBatchLanes <= count; i += kFnvBatchLanes) {
-    const __m128i w01 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + i));
-    const __m128i w23 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + i + 2));
-    lanes01 = fnv_mul_prime_sse2(_mm_xor_si128(lanes01, w01));
-    lanes23 = fnv_mul_prime_sse2(_mm_xor_si128(lanes23, w23));
-  }
-  std::uint64_t l[kFnvBatchLanes];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&l[0]), lanes01);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&l[2]), lanes23);
-  if (i < count) l[0] = fnv1a_word(l[0], words[i]);
-  if (i + 1 < count) l[1] = fnv1a_word(l[1], words[i + 1]);
-  if (i + 2 < count) l[2] = fnv1a_word(l[2], words[i + 2]);
-  std::uint64_t out = h;
-  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
-    out = fnv1a_word(out, l[j]);
-  }
-  return fnv1a_word(out, count);
-}
-
-// AVX2: all four lanes in one ymm register — kFnvBatchLanes was chosen as 4
-// precisely so one 256-bit register holds the whole lane state.
-__attribute__((target("avx2"))) inline __m256i fnv_mul_prime_avx2(__m256i x) {
-  const __m256i k1b3 = _mm256_set1_epi64x(0x1b3);
-  const __m256i lo = _mm256_mul_epu32(x, k1b3);
-  const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), k1b3);
-  const __m256i mul = _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-  return _mm256_add_epi64(mul, _mm256_slli_epi64(x, 40));
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t fnv1a_words_batch_avx2(
-    const std::uint64_t* words, std::size_t count, std::uint64_t h) {
-  __m256i lanes = _mm256_set_epi64x(
-      static_cast<long long>(fnv1a_word(h, 3)),
-      static_cast<long long>(fnv1a_word(h, 2)),
-      static_cast<long long>(fnv1a_word(h, 1)),
-      static_cast<long long>(fnv1a_word(h, 0)));
-  std::size_t i = 0;
-  for (; i + kFnvBatchLanes <= count; i += kFnvBatchLanes) {
-    const __m256i w =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    lanes = fnv_mul_prime_avx2(_mm256_xor_si256(lanes, w));
-  }
-  std::uint64_t l[kFnvBatchLanes];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(l), lanes);
-  if (i < count) l[0] = fnv1a_word(l[0], words[i]);
-  if (i + 1 < count) l[1] = fnv1a_word(l[1], words[i + 1]);
-  if (i + 2 < count) l[2] = fnv1a_word(l[2], words[i + 2]);
-  std::uint64_t out = h;
-  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
-    out = fnv1a_word(out, l[j]);
-  }
-  return fnv1a_word(out, count);
-}
-
-#elif defined(RSETS_FNV_NEON)
-
-// NEON: two q registers hold the four lanes; vmull_n_u32 provides the
-// 32x32->64 multiply halves.
-inline uint64x2_t fnv_mul_prime_neon(uint64x2_t x) {
-  const uint32x2_t xlo = vmovn_u64(x);
-  const uint32x2_t xhi = vshrn_n_u64(x, 32);
-  const uint64x2_t lo = vmull_n_u32(xlo, 0x1b3u);
-  const uint64x2_t hi = vmull_n_u32(xhi, 0x1b3u);
-  const uint64x2_t mul = vaddq_u64(lo, vshlq_n_u64(hi, 32));
-  return vaddq_u64(mul, vshlq_n_u64(x, 40));
-}
-
-inline std::uint64_t fnv1a_words_batch_neon(const std::uint64_t* words,
-                                            std::size_t count,
-                                            std::uint64_t h) {
-  std::uint64_t seed[kFnvBatchLanes] = {fnv1a_word(h, 0), fnv1a_word(h, 1),
-                                        fnv1a_word(h, 2), fnv1a_word(h, 3)};
-  uint64x2_t lanes01 = vld1q_u64(&seed[0]);
-  uint64x2_t lanes23 = vld1q_u64(&seed[2]);
-  std::size_t i = 0;
-  for (; i + kFnvBatchLanes <= count; i += kFnvBatchLanes) {
-    const uint64x2_t w01 = vld1q_u64(words + i);
-    const uint64x2_t w23 = vld1q_u64(words + i + 2);
-    lanes01 = fnv_mul_prime_neon(veorq_u64(lanes01, w01));
-    lanes23 = fnv_mul_prime_neon(veorq_u64(lanes23, w23));
-  }
-  std::uint64_t l[kFnvBatchLanes];
-  vst1q_u64(&l[0], lanes01);
-  vst1q_u64(&l[2], lanes23);
-  if (i < count) l[0] = fnv1a_word(l[0], words[i]);
-  if (i + 1 < count) l[1] = fnv1a_word(l[1], words[i + 1]);
-  if (i + 2 < count) l[2] = fnv1a_word(l[2], words[i + 2]);
-  std::uint64_t out = h;
-  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
-    out = fnv1a_word(out, l[j]);
-  }
-  return fnv1a_word(out, count);
-}
-
-#endif  // RSETS_FNV_X86 / RSETS_FNV_NEON
-
-// --- Runtime dispatch ---------------------------------------------------
-
-using FnvBatchFn = std::uint64_t (*)(const std::uint64_t*, std::size_t,
-                                     std::uint64_t);
-
-namespace detail {
-
-struct FnvBatchImpl {
-  FnvBatchFn fn;
-  const char* name;
-};
-
-inline FnvBatchImpl fnv1a_batch_resolve() {
-#if defined(RSETS_FNV_X86)
-  if (__builtin_cpu_supports("avx2")) {
-    return {&fnv1a_words_batch_avx2, "avx2"};
-  }
-  if (__builtin_cpu_supports("sse2")) {
-    return {&fnv1a_words_batch_sse2, "sse2"};
-  }
-#elif defined(RSETS_FNV_NEON)
-  return {&fnv1a_words_batch_neon, "neon"};
-#endif
-  return {&fnv1a_words_batch_scalar, "scalar"};
-}
-
-// Resolved once; the magic static makes concurrent first calls safe.
-inline const FnvBatchImpl& fnv1a_batch_impl() {
-  static const FnvBatchImpl impl = fnv1a_batch_resolve();
-  return impl;
-}
-
-}  // namespace detail
-
-// Name of the variant the dispatcher selected on this host:
-// "avx2" | "sse2" | "neon" | "scalar". Exposed for tests and diagnostics.
-inline const char* fnv1a_batch_target() {
-  return detail::fnv1a_batch_impl().name;
-}
-
-// Public entry point: dispatches to the widest variant this CPU supports.
-// Every variant implements the identical construction, so the digest is
-// host-independent — a checkpoint sealed on an AVX2 box verifies on a
-// scalar one.
-inline std::uint64_t fnv1a_words_batch(const std::uint64_t* words,
-                                       std::size_t count,
-                                       std::uint64_t h = kFnvOffsetBasis) {
-  return detail::fnv1a_batch_impl().fn(words, count, h);
 }
 
 }  // namespace rsets

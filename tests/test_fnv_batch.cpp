@@ -1,13 +1,10 @@
-// The four-lane batch FNV digest: every implementation — the dispatched
-// entry point, the scalar unrolled fallback, and each SIMD variant the host
-// can run — must be byte-identical to the scalar reference of the same
-// construction, stay sensitive to every single-bit flip, and distinguish
-// streams that plain concatenation would conflate.
+// The four-lane batch FNV digest: fnv1a_words_batch must be byte-identical
+// to a one-loop reference of the same construction, stay sensitive to every
+// single-bit flip, and distinguish streams that plain concatenation would
+// conflate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "util/fnv.hpp"
@@ -24,80 +21,50 @@ std::vector<std::uint64_t> random_words(std::size_t count,
   return words;
 }
 
-// Every batch implementation the host CPU can execute, by name. The
-// dispatched entry point is included so the identity holds for whatever the
-// resolver picked.
-std::vector<std::pair<std::string, FnvBatchFn>> runnable_targets() {
-  std::vector<std::pair<std::string, FnvBatchFn>> targets;
-  targets.emplace_back("dispatched", &fnv1a_words_batch);
-  targets.emplace_back("scalar", &fnv1a_words_batch_scalar);
-#if defined(RSETS_FNV_X86)
-  if (__builtin_cpu_supports("sse2")) {
-    targets.emplace_back("sse2", &fnv1a_words_batch_sse2);
+// The specification of the batch construction: one loop, lane selected by
+// index. The unrolled four-chain loop in util/fnv.hpp must match it
+// bit-for-bit.
+std::uint64_t fnv1a_words_batch_reference(const std::uint64_t* words,
+                                          std::size_t count,
+                                          std::uint64_t h = kFnvOffsetBasis) {
+  std::uint64_t lane[kFnvBatchLanes];
+  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
+    lane[j] = fnv1a_word(h, j);
   }
-  if (__builtin_cpu_supports("avx2")) {
-    targets.emplace_back("avx2", &fnv1a_words_batch_avx2);
+  for (std::size_t i = 0; i < count; ++i) {
+    lane[i % kFnvBatchLanes] = fnv1a_word(lane[i % kFnvBatchLanes], words[i]);
   }
-#elif defined(RSETS_FNV_NEON)
-  targets.emplace_back("neon", &fnv1a_words_batch_neon);
-#endif
-  return targets;
+  std::uint64_t out = h;
+  for (std::size_t j = 0; j < kFnvBatchLanes; ++j) {
+    out = fnv1a_word(out, lane[j]);
+  }
+  return fnv1a_word(out, count);
 }
 
-// The load-bearing assertion: every runnable variant and the
-// one-lane-per-index reference must agree on every length, including the
-// 0..3 tail cases and lengths around the vector width.
+// The load-bearing assertion: the batch loop and the one-lane-per-index
+// reference agree on every length, including the 0..3 tail cases and
+// lengths around the unroll width.
 TEST(FnvBatch, EveryTargetMatchesReferenceAtEveryLength) {
-  for (const auto& [name, fn] : runnable_targets()) {
-    for (std::size_t count = 0; count <= 67; ++count) {
-      const auto words = random_words(count, 0x1234 + count);
-      EXPECT_EQ(fn(words.data(), count, kFnvOffsetBasis),
-                fnv1a_words_batch_reference(words.data(), count))
-          << name << " length " << count;
-    }
-    // A batch comparable to a real message arena.
-    const auto big = random_words(100000, 99);
-    EXPECT_EQ(fn(big.data(), big.size(), kFnvOffsetBasis),
-              fnv1a_words_batch_reference(big.data(), big.size()))
-        << name;
+  for (std::size_t count = 0; count <= 67; ++count) {
+    const auto words = random_words(count, 0x1234 + count);
+    EXPECT_EQ(fnv1a_words_batch(words.data(), count),
+              fnv1a_words_batch_reference(words.data(), count))
+        << "length " << count;
   }
+  // A batch comparable to a real message arena.
+  const auto big = random_words(100000, 99);
+  EXPECT_EQ(fnv1a_words_batch(big.data(), big.size()),
+            fnv1a_words_batch_reference(big.data(), big.size()));
 }
 
 TEST(FnvBatch, EveryTargetMatchesReferenceOnChainedState) {
   const auto words = random_words(37, 7);
-  for (const auto& [name, fn] : runnable_targets()) {
-    for (const std::uint64_t h : {std::uint64_t{0}, kFnvOffsetBasis,
-                                  std::uint64_t{0xdeadbeefcafef00d}}) {
-      EXPECT_EQ(fn(words.data(), words.size(), h),
-                fnv1a_words_batch_reference(words.data(), words.size(), h))
-          << name << " prefix state " << h;
-    }
+  for (const std::uint64_t h : {std::uint64_t{0}, kFnvOffsetBasis,
+                                std::uint64_t{0xdeadbeefcafef00d}}) {
+    EXPECT_EQ(fnv1a_words_batch(words.data(), words.size(), h),
+              fnv1a_words_batch_reference(words.data(), words.size(), h))
+        << "prefix state " << h;
   }
-}
-
-TEST(FnvBatch, DispatchTargetIsKnownAndRunnable) {
-  const std::string target = fnv1a_batch_target();
-  bool known = false;
-  for (const auto& [name, fn] : runnable_targets()) {
-    if (name == target) known = true;
-  }
-  EXPECT_TRUE(known) << "dispatcher chose '" << target
-                     << "' which this host cannot run";
-#if defined(RSETS_FNV_X86)
-  // On x86 the resolver must have picked a vector variant — SSE2 is baseline
-  // on x86-64 and checked at runtime on i386.
-  if (__builtin_cpu_supports("avx2")) {
-    EXPECT_EQ(target, "avx2");
-  } else if (__builtin_cpu_supports("sse2")) {
-    EXPECT_EQ(target, "sse2");
-  } else {
-    EXPECT_EQ(target, "scalar");
-  }
-#elif defined(RSETS_FNV_NEON)
-  EXPECT_EQ(target, "neon");
-#else
-  EXPECT_EQ(target, "scalar");
-#endif
 }
 
 TEST(FnvBatch, DetectsEverySingleBitFlip) {
